@@ -1,8 +1,9 @@
-//! Criterion micro-benches for the EMD solver stack: closed form vs
-//! min-cost flow vs transportation simplex across histogram sizes.
+//! Criterion micro-benches for the EMD solver stack: closed form vs the
+//! exact transport kernel vs the transportation-simplex oracle across
+//! histogram sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fairjob_emd::{emd_1d_grid, transport::solve_emd, GridL1, Solver};
+use fairjob_emd::{emd_1d_grid, simplex, transport::solve_emd, GridL1, GroundDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -22,19 +23,22 @@ fn bench_emd_solvers(c: &mut Criterion) {
         let a = random_histogram(bins, &mut rng);
         let b = random_histogram(bins, &mut rng);
         let ground = GridL1::new(0.0, 1.0, bins).expect("grid");
+        let costs: Vec<Vec<f64>> = (0..bins)
+            .map(|i| (0..bins).map(|j| ground.cost(i, j)).collect())
+            .collect();
         group.bench_with_input(BenchmarkId::new("closed_form", bins), &bins, |bench, _| {
             bench.iter(|| emd_1d_grid(black_box(&a), black_box(&b), 0.0, 1.0).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("flow", bins), &bins, |bench, _| {
             bench.iter(|| {
-                solve_emd(black_box(&a), black_box(&b), &ground, Solver::Flow)
+                solve_emd(black_box(&a), black_box(&b), &ground)
                     .unwrap()
                     .cost
             })
         });
         group.bench_with_input(BenchmarkId::new("simplex", bins), &bins, |bench, _| {
             bench.iter(|| {
-                solve_emd(black_box(&a), black_box(&b), &ground, Solver::Simplex)
+                simplex::solve(black_box(&a), black_box(&b), &costs)
                     .unwrap()
                     .cost
             })

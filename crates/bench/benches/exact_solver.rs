@@ -6,8 +6,9 @@
 //!
 //! * **Value safety** — the arena path ([`HistogramDistance::distance_with`]
 //!   on a persistent [`SolveScratch`]) is bit-identical to the legacy
-//!   per-solve path for every pair, the flow and simplex backends agree
-//!   to 1e-9, and a warm-started solve is bit-identical to a cold one.
+//!   per-solve path for every pair, the transport kernel agrees with the
+//!   transportation-simplex oracle to 1e-9, and a warm-started solve is
+//!   bit-identical to a cold one.
 //! * **Cache discipline** — after one primed warm-up, twenty repeated
 //!   batches cause **zero** new ground-matrix builds (at most one build
 //!   per bin grid per process) and every solve is a ground-cache hit;
@@ -29,7 +30,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fairjob_bench::prepare_population;
 use fairjob_core::unfairness::{pairwise_emd_batch, BatchValue};
 use fairjob_core::{AuditConfig, AuditContext, Partition};
-use fairjob_emd::{GroundCache, Solver};
+use fairjob_emd::{simplex, GroundCache};
 use fairjob_hist::distance::EmdExact;
 use fairjob_hist::{BinSpec, Histogram, HistogramDistance, ScratchStats, SolveScratch};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
@@ -218,7 +219,7 @@ fn partitions(ctx: &AuditContext<'_>) -> Vec<Partition> {
 }
 
 /// Histograms with every bin populated, so consecutive pairs share the
-/// full support set and the flow solver's warm start can fire on all of
+/// full support set and the kernel's warm start can fire on all of
 /// them.
 fn dense_hists(n: usize) -> Vec<Histogram> {
     let spec = BinSpec::equal_width(0.0, 1.0, 10).expect("spec");
@@ -236,22 +237,34 @@ fn dense_hists(n: usize) -> Vec<Histogram> {
         .collect()
 }
 
-/// Bit-identity of arena vs legacy per pair, flow/simplex agreement,
-/// and warm-vs-cold bit-identity on the audit histograms.
+/// The transportation-simplex oracle on a histogram pair's frequencies
+/// and the centre-L1 ground `EmdExact` solves on.
+fn simplex_oracle(a: &Histogram, b: &Histogram) -> f64 {
+    let fa = a.frequencies().expect("non-empty histogram");
+    let fb = b.frequencies().expect("non-empty histogram");
+    let centres = a.spec().centres();
+    let costs: Vec<Vec<f64>> = centres
+        .iter()
+        .map(|x| centres.iter().map(|y| (x - y).abs()).collect())
+        .collect();
+    simplex::solve(&fa, &fb, &costs)
+        .expect("simplex solve")
+        .cost
+}
+
+/// Bit-identity of arena vs legacy per pair, kernel/simplex-oracle
+/// agreement, and warm-vs-cold bit-identity on the audit histograms.
 fn assert_value_safety(hists: &[&Histogram]) {
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
-    let simplex = EmdExact {
-        solver: Solver::Simplex,
-    };
+    let exact = EmdExact;
     let mut scratch = SolveScratch::new();
     scratch.begin_chunk();
     let mut checked = 0usize;
     for (i, a) in hists.iter().enumerate() {
         for b in &hists[i + 1..] {
-            let legacy = flow.distance(a, b).expect("legacy solve");
-            let arena = flow.distance_with(a, b, &mut scratch).expect("arena solve");
+            let legacy = exact.distance(a, b).expect("legacy solve");
+            let arena = exact
+                .distance_with(a, b, &mut scratch)
+                .expect("arena solve");
             assert_eq!(
                 arena.to_bits(),
                 legacy.to_bits(),
@@ -259,7 +272,7 @@ fn assert_value_safety(hists: &[&Histogram]) {
             );
             // A possibly-warm solve just ran on `scratch`; a fresh
             // scratch is cold by construction.
-            let cold = flow
+            let cold = exact
                 .distance_with(a, b, &mut SolveScratch::new())
                 .expect("cold solve");
             assert_eq!(
@@ -267,25 +280,21 @@ fn assert_value_safety(hists: &[&Histogram]) {
                 cold.to_bits(),
                 "warm-started solve diverged from cold: {arena} vs {cold}"
             );
-            let sx = simplex
-                .distance_with(a, b, &mut scratch)
-                .expect("simplex solve");
+            let sx = simplex_oracle(a, b);
             assert!(
                 (sx - legacy).abs() <= 1e-9,
-                "simplex diverged from flow: {sx} vs {legacy}"
+                "simplex oracle diverged from the transport kernel: {sx} vs {legacy}"
             );
             checked += 1;
         }
     }
-    println!("value safety: {checked} pairs bit-identical (arena vs legacy, warm vs cold), flow vs simplex within 1e-9");
+    println!("value safety: {checked} pairs bit-identical (arena vs legacy, warm vs cold), kernel vs simplex oracle within 1e-9");
 }
 
 /// Ground-cache and allocation discipline: one build per grid, zero
 /// builds and zero footprint growth over twenty steady-state sweeps.
 fn assert_cache_discipline(hists: &[&Histogram]) {
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
+    let exact = EmdExact;
     let cache = GroundCache::global();
     let mut scratch = SolveScratch::new();
     // `begin_chunk` zeroes the per-chunk counters, so fold each sweep's
@@ -294,7 +303,7 @@ fn assert_cache_discipline(hists: &[&Histogram]) {
         scratch.begin_chunk();
         for (i, a) in hists.iter().enumerate() {
             for b in &hists[i + 1..] {
-                black_box(flow.distance_with(a, b, scratch).expect("solve"));
+                black_box(exact.distance_with(a, b, scratch).expect("solve"));
             }
         }
         scratch.take_stats()
@@ -339,12 +348,10 @@ fn assert_cache_discipline(hists: &[&Histogram]) {
 /// scratches are reused, and value + every counter are identical for
 /// every thread count.
 fn assert_batch_counters(dense: &[Histogram]) {
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
+    let exact = EmdExact;
     let hists: Vec<&Histogram> = dense.iter().collect();
     let pairs = (hists.len() * (hists.len() - 1) / 2) as u64;
-    let base = pairwise_emd_batch(&hists, &flow, 1, None).expect("serial batch");
+    let base = pairwise_emd_batch(&hists, &exact, 1, None).expect("serial batch");
     let BatchValue::Average(value) = base.value else {
         panic!("no abandon threshold was set");
     };
@@ -369,7 +376,7 @@ fn assert_batch_counters(dense: &[Histogram]) {
         "full-support pairs must warm-start every solve after the first in its chunk"
     );
     for threads in [2usize, 3, 8] {
-        let par = pairwise_emd_batch(&hists, &flow, threads, None).expect("parallel batch");
+        let par = pairwise_emd_batch(&hists, &exact, threads, None).expect("parallel batch");
         assert_eq!(par.value, base.value, "{threads}-thread value diverged");
         assert_eq!(par.stats, base.stats, "{threads}-thread counters diverged");
     }
@@ -393,9 +400,7 @@ fn min_of_3(mut f: impl FnMut()) -> Duration {
 /// partitions): a pairwise sweep on the shared scratch must beat the
 /// seed's allocate-per-solve sweep by at least 2×.
 fn assert_speedup(survivors: &[&Histogram]) {
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
+    let exact = EmdExact;
     let mut scratch = SolveScratch::new();
     // Value-check the vendored seed path against the arena path before
     // trusting its timings, and warm both (ground cache, scratch
@@ -404,7 +409,9 @@ fn assert_speedup(survivors: &[&Histogram]) {
     for (i, a) in survivors.iter().enumerate() {
         for b in &survivors[i + 1..] {
             let old = seed::emd_distance(a, b);
-            let new = flow.distance_with(a, b, &mut scratch).expect("arena solve");
+            let new = exact
+                .distance_with(a, b, &mut scratch)
+                .expect("arena solve");
             assert!(
                 (old - new).abs() <= 1e-9,
                 "seed baseline diverged from the arena path: {old} vs {new}"
@@ -422,7 +429,11 @@ fn assert_speedup(survivors: &[&Histogram]) {
         scratch.begin_chunk();
         for (i, a) in survivors.iter().enumerate() {
             for b in &survivors[i + 1..] {
-                black_box(flow.distance_with(a, b, &mut scratch).expect("arena solve"));
+                black_box(
+                    exact
+                        .distance_with(a, b, &mut scratch)
+                        .expect("arena solve"),
+                );
             }
         }
     });
@@ -486,9 +497,7 @@ fn bench_exact_solver(c: &mut Criterion) {
     assert_batch_counters(&dense);
     assert_speedup(&survivors);
 
-    let flow = EmdExact {
-        solver: Solver::Flow,
-    };
+    let exact = EmdExact;
     let mut group = c.benchmark_group("exact_solver");
     group.sample_size(10);
     group.bench_function("seed_per_solve", |b| {
@@ -504,7 +513,7 @@ fn bench_exact_solver(c: &mut Criterion) {
         b.iter(|| {
             for (i, a) in all.iter().enumerate() {
                 for h in &all[i + 1..] {
-                    black_box(flow.distance(a, h).expect("solve"));
+                    black_box(exact.distance(a, h).expect("solve"));
                 }
             }
         })
@@ -515,13 +524,13 @@ fn bench_exact_solver(c: &mut Criterion) {
             scratch.begin_chunk();
             for (i, a) in all.iter().enumerate() {
                 for h in &all[i + 1..] {
-                    black_box(flow.distance_with(a, h, &mut scratch).expect("solve"));
+                    black_box(exact.distance_with(a, h, &mut scratch).expect("solve"));
                 }
             }
         })
     });
     group.bench_function("arena_batch_parallel", |b| {
-        b.iter(|| black_box(pairwise_emd_batch(&all, &flow, 4, None).expect("batch")))
+        b.iter(|| black_box(pairwise_emd_batch(&all, &exact, 4, None).expect("batch")))
     });
     group.finish();
 }

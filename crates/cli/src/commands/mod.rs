@@ -138,14 +138,24 @@ pub(crate) fn resolve_scorer(
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    /// A scratch file path in the target-adjacent temp dir; removed on
-    /// drop.
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Process-wide sequence number: tests run in parallel threads of one
+    /// process, so the pid alone would hand two tests the same path.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+
+    /// A scratch file path in the system temp dir, unique per instance
+    /// (`name` is kept as the suffix); removed on drop.
     pub struct TempFile(pub std::path::PathBuf);
 
     impl TempFile {
         pub fn new(name: &str) -> Self {
+            let seq = NEXT.fetch_add(1, Ordering::Relaxed);
             let mut path = std::env::temp_dir();
-            path.push(format!("fairjob-cli-test-{}-{name}", std::process::id()));
+            path.push(format!(
+                "fairjob-cli-test-{}-{seq}-{name}",
+                std::process::id()
+            ));
             TempFile(path)
         }
 

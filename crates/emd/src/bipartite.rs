@@ -3,16 +3,16 @@
 //! Compacted EMD instances all share one topology: a source feeding `m`
 //! supply nodes, a complete `m × n` interior, and `n` demand nodes
 //! draining into a sink. [`BipartiteFlow`] exploits that instead of
-//! routing through the general [`crate::flow::MinCostFlow`] graph: there
-//! is no edge list and no adjacency — residual supplies, residual
-//! demands and the interior flow matrix live in flat arrays, and each
-//! Dijkstra relaxation is plain index arithmetic over the row-major cost
-//! slice. The interior is treated as uncapacitated, the classical
-//! transportation formulation: conservation already bounds `f[i][j]` by
-//! `min(supply_i, demand_j)`, so the explicit interior capacities the
-//! graph solver carries can never cut off an improving path.
+//! building a general residual graph: there is no edge list and no
+//! adjacency — residual supplies, residual demands and the interior flow
+//! matrix live in flat arrays, and each Dijkstra relaxation is plain
+//! index arithmetic over the row-major cost slice. The interior is
+//! treated as uncapacitated, the classical transportation formulation:
+//! conservation already bounds `f[i][j]` by `min(supply_i, demand_j)`,
+//! so explicit interior capacities could never cut off an improving
+//! path.
 //!
-//! Two further specialisations over the general solver:
+//! Two further specialisations over textbook successive shortest paths:
 //!
 //! * **Early-exit Dijkstra.** The search stops the moment the sink
 //!   settles; potentials then advance by `min(dist[v], dist[sink])`
@@ -22,20 +22,36 @@
 //!   inequality outright, and every unsettled node's clamped value is
 //!   exactly `dist[sink]`, which cannot decrease below a settled
 //!   neighbour's contribution.
-//! * **Round-1 record/replay.** As in the graph solver, the first
-//!   Dijkstra round is a pure function of `(m, n, costs)` — capacities
-//!   only enter as "positive", which all compacted supplies and demands
-//!   are — so consecutive solves over the same support set replay it
-//!   bit-for-bit. The cache lives on the kernel itself; validity
-//!   tracking (support and cost equality) stays with the caller.
+//! * **Round-1 record/replay.** The first Dijkstra round is a pure
+//!   function of `(m, n, costs)` — capacities only enter as "positive",
+//!   which all compacted supplies and demands are — so consecutive
+//!   solves over the same support set replay it bit-for-bit. The replay
+//!   is deliberately restricted to round 1: later rounds depend on the
+//!   residual capacities, and seeding *final* duals from a previous
+//!   solve would shift Dijkstra's float keys per node, changing
+//!   tie-breaks on degenerate instances and breaking the bit-identity
+//!   contract the audit pipeline guarantees. The cache lives on the
+//!   kernel itself; validity tracking (support and cost equality) stays
+//!   with the caller.
 //!
 //! Determinism: the next node to settle is chosen by a linear scan with
 //! lowest-index tie-breaking, and all state is re-derived from the
 //! instance on every solve, so a given instance solves bit-identically
 //! regardless of scratch history, warm start, or thread placement.
 
-use crate::flow::{FlowResult, CAP_EPS};
 use crate::EmdError;
+
+/// Capacities below this are treated as saturated (floating-point slack).
+const CAP_EPS: f64 = 1e-12;
+
+/// Result of a [`BipartiteFlow::solve`] call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FlowResult {
+    /// Total flow actually routed from source to sink.
+    pub(crate) flow: f64,
+    /// Total cost of that flow.
+    pub(crate) cost: f64,
+}
 
 /// Reusable kernel state. All buffers grow to the working-set size and
 /// are retained; a long-lived kernel solves a stream of same-sized
@@ -199,7 +215,7 @@ impl BipartiteFlow {
 
     /// One Dijkstra pass over reduced costs, stopping once the sink
     /// settles. Node ids: `0` source, `1..=m` supplies, `m+1..=m+n`
-    /// demands, `m+n+1` sink — the same layout the graph solver uses.
+    /// demands, `m+n+1` sink.
     fn dijkstra(&mut self, m: usize, n: usize, costs: &[f64]) {
         let nodes = m + n + 2;
         let sink = nodes - 1;

@@ -5,21 +5,22 @@
 //! average pairwise EMD between per-group score histograms, so everything
 //! above this crate ultimately calls into it.
 //!
-//! Three independent solver families are provided and cross-checked
-//! against each other in the test suite:
+//! Two production paths and one test oracle:
 //!
 //! * [`d1`] — closed-form one-dimensional EMD. For histograms whose bins
 //!   live on a line with an L1 ground distance the EMD equals the L1
 //!   distance between the cumulative distributions, which is computable in
 //!   a single pass. This is the fast path used by the auditing algorithms.
-//! * [`flow`] + [`transport`] — a general minimum-cost-flow formulation
-//!   solved with successive shortest paths and Johnson potentials. Handles
-//!   arbitrary ground-distance matrices (multi-dimensional embeddings,
-//!   thresholded distances).
+//! * [`transport`] — the one exact solver: support compaction plus a
+//!   transport-specialised successive-shortest-paths kernel with Johnson
+//!   potentials. Handles arbitrary ground-distance matrices
+//!   (multi-dimensional embeddings, thresholded distances), general
+//!   [`TransportProblem`]s and signature EMD, reusing a per-worker
+//!   [`SolveScratch`] on the audit hot path.
 //! * [`simplex`] — the classical transportation simplex (north-west-corner
-//!   start + MODI pivoting). Slower in the worst case but an entirely
-//!   separate code path, which makes it a strong differential-testing
-//!   oracle for the flow solver.
+//!   start + MODI pivoting). An entirely separate code path that no
+//!   production caller uses: the differential-testing oracle for the
+//!   exact solver.
 //!
 //! [`bounds`] complements the solvers with cheap lower/upper bounds
 //! (projection, total-variation sandwich) and reusable prefix CDFs whose
@@ -38,7 +39,7 @@
 //!   distance).
 //! * Positions are points on the real line for the 1-D fast path, or
 //!   arbitrary indices resolved through a ground-distance matrix for the
-//!   general solvers.
+//!   exact solver.
 //!
 //! # Example
 //!
@@ -51,7 +52,7 @@
 //! let d = emd_1d_grid(&a, &b, 0.0, 1.0).unwrap();
 //! assert!((d - 0.75).abs() < 1e-12); // |0.125 - 0.875|
 //!
-//! // The general solver agrees.
+//! // The configurable entry point agrees.
 //! let d2 = emd_between(&a, &b, &EmdConfig::grid_l1(0.0, 1.0)).unwrap();
 //! assert!((d - d2).abs() < 1e-9);
 //! ```
@@ -61,7 +62,6 @@ mod bipartite;
 pub mod bounds;
 pub mod d1;
 pub mod error;
-pub mod flow;
 pub mod ground;
 pub mod signature;
 pub mod simplex;
@@ -74,9 +74,7 @@ pub use error::EmdError;
 pub use ground::{
     GridL1, GroundCache, GroundDistance, GroundKey, GroundMatrix, Matrix, PositionsL1, Thresholded,
 };
-pub use transport::{
-    emd_cost_in, solve_emd, solve_emd_in, Solver, TransportProblem, TransportSolution,
-};
+pub use transport::{emd_cost_in, solve_emd, TransportProblem, TransportSolution};
 
 /// Tolerance used throughout when comparing floating-point masses.
 pub const MASS_EPS: f64 = 1e-9;
@@ -86,8 +84,6 @@ pub const MASS_EPS: f64 = 1e-9;
 pub struct EmdConfig {
     /// Ground distance between bin indices.
     pub ground: GroundKind,
-    /// Which exact solver to use when the closed form does not apply.
-    pub solver: Solver,
     /// Normalise both inputs to unit mass before solving.
     pub normalise: bool,
 }
@@ -113,7 +109,6 @@ impl EmdConfig {
     pub fn grid_l1(lo: f64, hi: f64) -> Self {
         EmdConfig {
             ground: GroundKind::GridL1 { lo, hi },
-            solver: Solver::Flow,
             normalise: true,
         }
     }
@@ -122,7 +117,6 @@ impl EmdConfig {
     pub fn positions_l1(positions: Vec<f64>) -> Self {
         EmdConfig {
             ground: GroundKind::PositionsL1(positions),
-            solver: Solver::Flow,
             normalise: true,
         }
     }
@@ -131,7 +125,6 @@ impl EmdConfig {
     pub fn matrix(m: Vec<Vec<f64>>) -> Self {
         EmdConfig {
             ground: GroundKind::Matrix(m),
-            solver: Solver::Flow,
             normalise: true,
         }
     }
@@ -140,23 +133,16 @@ impl EmdConfig {
     pub fn thresholded_grid(lo: f64, hi: f64, threshold: f64) -> Self {
         EmdConfig {
             ground: GroundKind::ThresholdedGridL1 { lo, hi, threshold },
-            solver: Solver::Flow,
             normalise: true,
         }
-    }
-
-    /// Use a specific exact solver when the closed form does not apply.
-    pub fn with_solver(mut self, solver: Solver) -> Self {
-        self.solver = solver;
-        self
     }
 }
 
 /// Compute the EMD between two mass vectors under `config`.
 ///
 /// Dispatches to the closed-form 1-D algorithm when the ground distance is
-/// an (unthresholded) L1 distance on the line, otherwise builds and solves
-/// a transportation problem with the configured exact solver.
+/// an (unthresholded) L1 distance on the line, otherwise solves the
+/// transportation problem exactly.
 ///
 /// # Errors
 ///
@@ -203,7 +189,7 @@ pub fn emd_between(a: &[f64], b: &[f64], config: &EmdConfig) -> Result<f64, EmdE
                 d1::emd_1d_positions(a, b, pos)
             } else {
                 let g = PositionsL1::new(pos.clone());
-                transport::solve_emd(a, b, &g, config.solver).map(|s| s.cost)
+                transport::solve_emd(a, b, &g).map(|s| s.cost)
             }
         }
         GroundKind::Matrix(m) => {
@@ -214,11 +200,11 @@ pub fn emd_between(a: &[f64], b: &[f64], config: &EmdConfig) -> Result<f64, EmdE
                     right: a.len(),
                 });
             }
-            transport::solve_emd(a, b, &g, config.solver).map(|s| s.cost)
+            transport::solve_emd(a, b, &g).map(|s| s.cost)
         }
         GroundKind::ThresholdedGridL1 { lo, hi, threshold } => {
             let g = Thresholded::new(GridL1::new(*lo, *hi, a.len())?, *threshold);
-            transport::solve_emd(a, b, &g, config.solver).map(|s| s.cost)
+            transport::solve_emd(a, b, &g).map(|s| s.cost)
         }
     }
 }

@@ -14,7 +14,7 @@
 //! difference — e.g. "how much work would it take to turn group A's
 //! score mass into group B's".
 
-use crate::transport::{Solver, TransportProblem};
+use crate::transport::TransportProblem;
 use crate::{EmdError, MASS_EPS};
 
 /// A weighted point set on the real line.
@@ -88,18 +88,11 @@ impl Signature {
     }
 }
 
-/// Rubner partial-matching EMD between two signatures with ground
-/// distance `|xᵢ - xⱼ|`: optimal cost of moving `min(total_a, total_b)`
-/// mass, divided by that amount.
-///
-/// # Errors
-///
-/// Propagates solver/validation failures.
-pub fn emd_signatures(a: &Signature, b: &Signature) -> Result<f64, EmdError> {
+/// The transport problem between two signatures under ground distance
+/// `|xᵢ - xⱼ|`, balanced with a free-disposal point: surplus mass on the
+/// heavier side flows to (or from) a virtual point at zero cost.
+fn balanced_problem(a: &Signature, b: &Signature) -> TransportProblem {
     let (ta, tb) = (a.total(), b.total());
-    let moved = ta.min(tb);
-    // Equalise by adding a free-disposal sink/source point: surplus mass
-    // on the heavier side flows to a virtual point at zero cost.
     let mut supplies = a.weights.to_vec();
     let mut demands = b.weights.to_vec();
     let mut costs: Vec<Vec<f64>> = a
@@ -117,12 +110,23 @@ pub fn emd_signatures(a: &Signature, b: &Signature) -> Result<f64, EmdError> {
         supplies.push(tb - ta);
         costs.push(vec![0.0; demands.len()]);
     }
-    let problem = TransportProblem {
+    TransportProblem {
         supplies,
         demands,
         costs,
-    };
-    let solution = problem.solve(Solver::Flow)?;
+    }
+}
+
+/// Rubner partial-matching EMD between two signatures with ground
+/// distance `|xᵢ - xⱼ|`: optimal cost of moving `min(total_a, total_b)`
+/// mass, divided by that amount.
+///
+/// # Errors
+///
+/// Propagates solver/validation failures.
+pub fn emd_signatures(a: &Signature, b: &Signature) -> Result<f64, EmdError> {
+    let moved = a.total().min(b.total());
+    let solution = balanced_problem(a, b).solve()?;
     Ok(solution.cost / moved)
 }
 
@@ -145,30 +149,8 @@ pub fn emd_hat(a: &Signature, b: &Signature, penalty_per_unit: f64) -> Result<f6
             value: penalty_per_unit,
         });
     }
-    let (ta, tb) = (a.total(), b.total());
-    let surplus = (ta - tb).abs();
-    let mut supplies = a.weights.to_vec();
-    let mut demands = b.weights.to_vec();
-    let mut costs: Vec<Vec<f64>> = a
-        .positions
-        .iter()
-        .map(|&x| b.positions.iter().map(|&y| (x - y).abs()).collect())
-        .collect();
-    if ta > tb + MASS_EPS {
-        demands.push(ta - tb);
-        for row in &mut costs {
-            row.push(0.0);
-        }
-    } else if tb > ta + MASS_EPS {
-        supplies.push(tb - ta);
-        costs.push(vec![0.0; demands.len()]);
-    }
-    let problem = TransportProblem {
-        supplies,
-        demands,
-        costs,
-    };
-    let solution = problem.solve(Solver::Flow)?;
+    let surplus = (a.total() - b.total()).abs();
+    let solution = balanced_problem(a, b).solve()?;
     Ok(solution.cost + penalty_per_unit * surplus)
 }
 

@@ -1,8 +1,8 @@
 //! Transportation simplex (north-west-corner start + MODI pivoting).
 //!
-//! An entirely independent exact solver for the transportation problem,
-//! used both as a differential-testing oracle for the min-cost-flow path
-//! and as an alternative backend (it is competitive on dense instances).
+//! An entirely independent exact solver for the transportation problem:
+//! the differential-testing oracle the tests and benches check the
+//! production transport kernel against. No production path calls it.
 //!
 //! The implementation follows the classical tableau method:
 //!
@@ -15,22 +15,20 @@
 //! 4. Pivot around the unique cycle the entering cell closes in the basis
 //!    tree, remove the leaving cell, repeat.
 //!
-//! All working storage lives in [`SimplexScratch`]: the basis, the
+//! All working storage lives in `SimplexScratch`: the basis, the
 //! `in_basis` membership bitmap (maintained incrementally across pivots
 //! instead of being rebuilt every iteration), one shared basis-tree
 //! adjacency (built once per MODI iteration and used by both the
-//! potential solve and the cycle search), and the DFS/BFS scratch. A
-//! reused scratch makes repeated solves allocation-free at steady state;
-//! the plain [`solve`] entry point spins up a fresh scratch per call.
+//! potential solve and the cycle search), and the DFS/BFS scratch.
 
 use crate::{EmdError, TransportSolution, MASS_EPS};
 
 /// Reduced costs above `-OPT_EPS` are considered non-improving.
 const OPT_EPS: f64 = 1e-10;
 
-/// Reusable working storage for the transportation simplex.
+/// Working storage for the transportation simplex.
 #[derive(Debug, Clone, Default)]
-pub struct SimplexScratch {
+struct SimplexScratch {
     /// Basis cells `(i, j, flow)` — exactly `m + n - 1` entries.
     basis: Vec<(usize, usize, f64)>,
     /// Working copies of supplies/demands for the north-west corner.
@@ -57,28 +55,6 @@ pub struct SimplexScratch {
 }
 
 impl SimplexScratch {
-    /// An empty scratch; buffers grow on first use and are kept after.
-    pub fn new() -> Self {
-        SimplexScratch::default()
-    }
-
-    /// Total element capacity of every buffer (allocation probe).
-    pub fn footprint(&self) -> usize {
-        self.basis.capacity()
-            + self.s.capacity()
-            + self.d.capacity()
-            + self.u.capacity()
-            + self.v.capacity()
-            + self.in_basis.capacity()
-            + self.adj.capacity()
-            + self.adj.iter().map(Vec::capacity).sum::<usize>()
-            + self.seen.capacity()
-            + self.stack.capacity()
-            + self.prev.capacity()
-            + self.queue.capacity()
-            + self.path.capacity()
-    }
-
     /// Clear and rebuild the shared basis-tree adjacency from the
     /// current basis.
     fn rebuild_adj(&mut self, m: usize, n: usize) {
@@ -100,8 +76,9 @@ impl SimplexScratch {
 
 /// Solve a balanced transportation problem to optimality.
 ///
-/// `supplies` and `demands` must be non-negative with equal totals (the
-/// caller — [`crate::TransportProblem::solve`] — validates this).
+/// `supplies` and `demands` must be non-negative with equal totals, and
+/// `costs` must be `supplies.len()` × `demands.len()`; the caller
+/// validates this (see [`crate::TransportProblem::validate`]).
 ///
 /// # Errors
 ///
@@ -112,50 +89,15 @@ pub fn solve(
     demands: &[f64],
     costs: &[Vec<f64>],
 ) -> Result<TransportSolution, EmdError> {
-    let mut scratch = SimplexScratch::new();
-    solve_in(&mut scratch, supplies, demands, |i, j| costs[i][j])
-}
-
-/// [`solve`] over caller-owned scratch and an arbitrary cost lookup —
-/// the allocation-free path. Produces bit-identical results to [`solve`]
-/// on the same instance regardless of what the scratch was used for
-/// before.
-///
-/// # Errors
-///
-/// As [`solve`].
-pub fn solve_in(
-    scratch: &mut SimplexScratch,
-    supplies: &[f64],
-    demands: &[f64],
-    cost: impl Fn(usize, usize) -> f64,
-) -> Result<TransportSolution, EmdError> {
-    let cost_total = optimise(scratch, supplies, demands, &cost)?;
+    let mut scratch = SimplexScratch::default();
+    let cost = optimise(&mut scratch, supplies, demands, &|i, j| costs[i][j])?;
     let flows: Vec<_> = scratch
         .basis
         .iter()
         .copied()
         .filter(|&(_, _, f)| f > MASS_EPS)
         .collect();
-    Ok(TransportSolution {
-        cost: cost_total,
-        flows,
-    })
-}
-
-/// [`solve_in`] without materialising the flow list: just the optimal
-/// cost. The hot audit path only needs the scalar.
-///
-/// # Errors
-///
-/// As [`solve`].
-pub fn solve_cost_in(
-    scratch: &mut SimplexScratch,
-    supplies: &[f64],
-    demands: &[f64],
-    cost: impl Fn(usize, usize) -> f64,
-) -> Result<f64, EmdError> {
-    optimise(scratch, supplies, demands, &cost)
+    Ok(TransportSolution { cost, flows })
 }
 
 /// Run NW-corner + MODI to optimality, leaving the optimal basis in
@@ -423,41 +365,5 @@ mod tests {
         let costs = vec![vec![2.0; 3]; 3];
         let sol = solve(&[1.0, 1.0, 1.0], &[1.0, 1.0, 1.0], &costs).unwrap();
         assert!((sol.cost - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reused_scratch_is_bit_identical_to_fresh() {
-        type Instance = (Vec<f64>, Vec<f64>, Vec<Vec<f64>>);
-        let instances: Vec<Instance> = vec![
-            (
-                vec![1.0, 1.0],
-                vec![1.0, 1.0],
-                vec![vec![10.0, 1.0], vec![1.0, 10.0]],
-            ),
-            (
-                vec![20.0, 30.0],
-                vec![10.0, 25.0, 15.0],
-                vec![vec![2.0, 4.0, 6.0], vec![5.0, 1.0, 3.0]],
-            ),
-            (vec![1.0], vec![1.0], vec![vec![3.0]]),
-            (
-                vec![5.0, 3.0, 2.0],
-                vec![4.0, 4.0, 2.0],
-                vec![
-                    vec![1.0, 5.0, 9.0],
-                    vec![4.0, 2.0, 7.0],
-                    vec![8.0, 3.0, 1.0],
-                ],
-            ),
-        ];
-        let mut scratch = SimplexScratch::new();
-        for (s, d, c) in &instances {
-            let fresh = solve(s, d, c).unwrap();
-            let reused = solve_in(&mut scratch, s, d, |i, j| c[i][j]).unwrap();
-            assert_eq!(fresh.cost.to_bits(), reused.cost.to_bits());
-            assert_eq!(fresh.flows, reused.flows);
-            let cost_only = solve_cost_in(&mut scratch, s, d, |i, j| c[i][j]).unwrap();
-            assert_eq!(fresh.cost.to_bits(), cost_only.to_bits());
-        }
     }
 }

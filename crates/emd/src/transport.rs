@@ -2,33 +2,26 @@
 //!
 //! [`TransportProblem`] is the general supplies/demands/cost formulation;
 //! [`solve_emd`] is the convenience wrapper the rest of the workspace uses
-//! (equal-length mass vectors plus a [`GroundDistance`]).
+//! (equal-length mass vectors plus a [`GroundDistance`]), and
+//! [`emd_cost_in`] its cost-only hot path.
 //!
-//! Every solve runs through a [`SolveScratch`] workspace. The plain
-//! entry points ([`TransportProblem::solve`], [`solve_emd`]) spin up a
-//! fresh scratch per call; the `_in` variants
-//! ([`TransportProblem::solve_in`], [`solve_emd_in`], [`emd_cost_in`])
-//! reuse a caller-owned one, which makes a stream of same-sized solves
+//! Every solve runs one pipeline: compact both sides onto their
+//! non-empty supports inside a [`SolveScratch`], materialise the flat
+//! row-major compacted cost view, and route the mass on the
+//! transport-specialised `bipartite` kernel. [`emd_cost_in`] reuses a
+//! caller-owned scratch, which makes a stream of same-sized solves
 //! allocation-free and enables the round-1 warm start between
-//! consecutive pairs that share a support set. Both paths produce
-//! bit-identical results.
+//! consecutive pairs that share a support set; [`solve_emd`] and
+//! [`TransportProblem::solve`] spin up a fresh one. Both paths produce
+//! bit-identical results. The transportation simplex in
+//! [`crate::simplex`] is the independent oracle the tests check this
+//! pipeline against.
 
 use std::mem;
 
 use crate::arena::SolveScratch;
 use crate::ground::GroundDistance;
-use crate::{simplex, EmdError, MASS_EPS};
-
-/// Exact solver selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Solver {
-    /// Successive-shortest-paths min-cost flow (default).
-    Flow,
-    /// Transportation simplex (north-west corner + MODI). Independent code
-    /// path used for differential testing; also competitive on dense
-    /// instances.
-    Simplex,
-}
+use crate::{EmdError, MASS_EPS};
 
 /// A transportation-problem instance: move `supplies` to `demands` at
 /// minimum total cost, where moving one unit from supply `i` to demand `j`
@@ -96,120 +89,42 @@ impl TransportProblem {
         Ok(())
     }
 
-    /// Solve to optimality with the chosen solver.
+    /// Solve to optimality: zero-mass rows and columns are compacted
+    /// away and the rest is routed on the transport kernel.
     ///
     /// # Errors
     ///
     /// Validation failures, or [`EmdError::SolverStalled`] on internal
     /// failure (never on valid input).
-    pub fn solve(&self, solver: Solver) -> Result<TransportSolution, EmdError> {
-        self.solve_in(&mut SolveScratch::new(), solver)
-    }
-
-    /// [`TransportProblem::solve`] on a caller-owned workspace: repeated
-    /// same-sized solves reuse every buffer. Results are bit-identical
-    /// to `solve`.
-    ///
-    /// # Errors
-    ///
-    /// As [`TransportProblem::solve`].
-    pub fn solve_in(
-        &self,
-        scratch: &mut SolveScratch,
-        solver: Solver,
-    ) -> Result<TransportSolution, EmdError> {
+    pub fn solve(&self) -> Result<TransportSolution, EmdError> {
         self.validate()?;
-        scratch.note_use();
-        match solver {
-            Solver::Flow => self.solve_flow_in(scratch),
-            Solver::Simplex => simplex::solve_in(
-                &mut scratch.simplex,
-                &self.supplies,
-                &self.demands,
-                |i, j| self.costs[i][j],
-            ),
-        }
-    }
-
-    fn solve_flow_in(&self, scratch: &mut SolveScratch) -> Result<TransportSolution, EmdError> {
-        let (nl, nr) = (self.supplies.len(), self.demands.len());
-        // Node layout: 0 = source, 1..=nl supplies, nl+1..=nl+nr demands, last = sink.
-        let source = 0;
-        let sink = nl + nr + 1;
-        let SolveScratch {
-            flow: g, edge_ids, ..
-        } = scratch;
-        g.reset(nl + nr + 2);
-        let mut want = 0.0;
-        for (i, &s) in self.supplies.iter().enumerate() {
-            if s > MASS_EPS {
-                g.add_edge(source, 1 + i, s, 0.0);
-                want += s;
-            }
-        }
-        for (j, &d) in self.demands.iter().enumerate() {
-            if d > MASS_EPS {
-                g.add_edge(1 + nl + j, sink, d, 0.0);
-            }
-        }
-        edge_ids.clear();
-        for (i, &s) in self.supplies.iter().enumerate() {
-            if s <= MASS_EPS {
-                continue;
-            }
-            for (j, &d) in self.demands.iter().enumerate() {
-                if d <= MASS_EPS {
-                    continue;
-                }
-                let id = g.add_edge(1 + i, 1 + nl + j, s.min(d), self.costs[i][j]);
-                edge_ids.push((i, j, id));
-            }
-        }
-        let r = g.solve(source, sink, want)?;
-        if (r.flow - want).abs() > 1e-6 * want.max(1.0) {
-            return Err(EmdError::SolverStalled {
-                solver: "min-cost-flow (unbalanced)",
-            });
-        }
-        let mut flows = Vec::new();
-        for &(i, j, id) in scratch.edge_ids.iter() {
-            let f = scratch.flow.flow_on(id);
-            if f > MASS_EPS {
-                flows.push((i, j, f));
-            }
-        }
+        let mut scratch = SolveScratch::new();
+        // `validate` already walked every cost and balanced the full
+        // instance; an all-zero instance compacts to nothing and routes
+        // zero flow at zero cost.
+        let warm = compact(&mut scratch, &self.supplies, &self.demands, |i, j| {
+            self.costs[i][j]
+        });
+        let cost = kernel_solve(&mut scratch, warm)?;
         Ok(TransportSolution {
-            cost: r.cost,
-            flows,
+            cost,
+            flows: plan(&scratch),
         })
     }
 }
 
-/// Compact `a`/`b` onto their joint non-empty supports inside `scratch`,
-/// materialise the flat compacted cost view, and validate — mirroring
-/// [`TransportProblem::validate`] on the compacted instance, except that
-/// the O(m·n) cost walk is skipped for grounds that guarantee their costs
-/// up front ([`GroundDistance::prevalidated`]). Returns the compacted
-/// dimensions plus whether the instance matches the previous solve's
-/// supports and costs exactly (the warm-start precondition).
-fn prepare_compacted<G: GroundDistance + ?Sized>(
+/// Compact `a`/`b` onto their non-empty supports inside `scratch` and
+/// materialise the flat row-major compacted cost view from `cost`
+/// (indexed by original positions). Either support may come out empty;
+/// callers decide whether that is an error. Returns whether the instance
+/// matches the previous solve's supports and costs exactly (the
+/// warm-start precondition).
+fn compact(
     scratch: &mut SolveScratch,
     a: &[f64],
     b: &[f64],
-    ground: &G,
-) -> Result<(usize, usize, bool), EmdError> {
-    if a.len() != b.len() {
-        return Err(EmdError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    if a.len() != ground.size() {
-        return Err(EmdError::LengthMismatch {
-            left: a.len(),
-            right: ground.size(),
-        });
-    }
+    cost: impl Fn(usize, usize) -> f64,
+) -> bool {
     scratch.note_use();
     let had_warm = scratch.warm_valid;
     scratch.warm_valid = false;
@@ -236,6 +151,46 @@ fn prepare_compacted<G: GroundDistance + ?Sized>(
             scratch.demands.push(x);
         }
     }
+    let SolveScratch {
+        srcs, dsts, costs, ..
+    } = &mut *scratch;
+    costs.clear();
+    costs.reserve(srcs.len() * dsts.len());
+    for &i in srcs.iter() {
+        for &j in dsts.iter() {
+            costs.push(cost(i, j));
+        }
+    }
+    had_warm
+        && scratch.srcs == scratch.prev_srcs
+        && scratch.dsts == scratch.prev_dsts
+        && scratch.costs == scratch.prev_costs
+}
+
+/// [`compact`] `a`/`b` under `ground` and validate — mirroring
+/// [`TransportProblem::validate`] on the compacted instance, except that
+/// the O(m·n) cost walk is skipped for grounds that guarantee their costs
+/// up front ([`GroundDistance::prevalidated`]). Returns the warm-start
+/// flag from [`compact`].
+fn prepare_compacted<G: GroundDistance + ?Sized>(
+    scratch: &mut SolveScratch,
+    a: &[f64],
+    b: &[f64],
+    ground: &G,
+) -> Result<bool, EmdError> {
+    if a.len() != b.len() {
+        return Err(EmdError::LengthMismatch {
+            left: a.len(),
+            right: b.len(),
+        });
+    }
+    if a.len() != ground.size() {
+        return Err(EmdError::LengthMismatch {
+            left: a.len(),
+            right: ground.size(),
+        });
+    }
+    let warm = compact(scratch, a, b, |i, j| ground.cost(i, j));
     if scratch.srcs.is_empty() || scratch.dsts.is_empty() {
         crate::validate_masses(a)?;
         crate::validate_masses(b)?;
@@ -243,20 +198,8 @@ fn prepare_compacted<G: GroundDistance + ?Sized>(
     }
     crate::validate_masses(&scratch.supplies)?;
     crate::validate_masses(&scratch.demands)?;
-    let (m, n) = (scratch.srcs.len(), scratch.dsts.len());
-    {
-        let SolveScratch {
-            srcs, dsts, costs, ..
-        } = &mut *scratch;
-        costs.clear();
-        costs.reserve(m * n);
-        for &i in srcs.iter() {
-            for &j in dsts.iter() {
-                costs.push(ground.cost(i, j));
-            }
-        }
-    }
     if !ground.prevalidated() {
+        let n = scratch.dsts.len();
         for (k, &c) in scratch.costs.iter().enumerate() {
             if !c.is_finite() {
                 return Err(EmdError::NonFinite {
@@ -282,23 +225,13 @@ fn prepare_compacted<G: GroundDistance + ?Sized>(
             right: td,
         });
     }
-    let warm = had_warm
-        && scratch.srcs == scratch.prev_srcs
-        && scratch.dsts == scratch.prev_dsts
-        && scratch.costs == scratch.prev_costs;
-    Ok((m, n, warm))
+    Ok(warm)
 }
 
-/// Solve the compacted instance in `scratch` with the transport-
-/// specialised flow kernel, replaying the previous round-1 Dijkstra when
-/// `warm` holds. Leaves the kernel's flow matrix populated so callers
-/// can read flows back.
-fn flow_solve_compacted(
-    scratch: &mut SolveScratch,
-    _m: usize,
-    _n: usize,
-    warm: bool,
-) -> Result<f64, EmdError> {
+/// Route the compacted instance in `scratch` on the transport kernel,
+/// replaying the previous round-1 Dijkstra when `warm` holds. Leaves the
+/// kernel's flow matrix populated so [`plan`] can read it back.
+fn kernel_solve(scratch: &mut SolveScratch, warm: bool) -> Result<f64, EmdError> {
     let cost = {
         let SolveScratch {
             bip,
@@ -318,74 +251,36 @@ fn flow_solve_compacted(
         let r = bip.solve(supplies, demands, costs, want, warm)?;
         if (r.flow - want).abs() > 1e-6 * want.max(1.0) {
             return Err(EmdError::SolverStalled {
-                solver: "min-cost-flow (unbalanced)",
+                solver: "bipartite-flow (unbalanced)",
             });
         }
         r.cost
     };
     // The kernel's round-1 cache now describes this instance, whose
     // supports and costs will be swapped into `prev_*` at the next
-    // prepare.
+    // compaction.
     scratch.warm_valid = true;
     Ok(cost)
 }
 
-/// Solve the EMD between two equal-length mass vectors under `ground`,
-/// reusing a caller-owned workspace. Bit-identical to [`solve_emd`];
-/// allocation-free at steady state apart from the returned flow list
-/// (use [`emd_cost_in`] when only the cost is needed).
-///
-/// # Errors
-///
-/// Validation failures as in [`TransportProblem::validate`].
-pub fn solve_emd_in<G: GroundDistance + ?Sized>(
-    scratch: &mut SolveScratch,
-    a: &[f64],
-    b: &[f64],
-    ground: &G,
-    solver: Solver,
-) -> Result<TransportSolution, EmdError> {
-    let (m, n, warm) = prepare_compacted(scratch, a, b, ground)?;
-    match solver {
-        Solver::Flow => {
-            let cost = flow_solve_compacted(scratch, m, n, warm)?;
-            let mut flows = Vec::new();
-            for si in 0..m {
-                for dj in 0..n {
-                    let f = scratch.bip.flow_at(si, dj);
-                    if f > MASS_EPS {
-                        flows.push((scratch.srcs[si], scratch.dsts[dj], f));
-                    }
-                }
+/// The last solve's non-zero flows, mapped back to original indices.
+fn plan(scratch: &SolveScratch) -> Vec<(usize, usize, f64)> {
+    let mut flows = Vec::new();
+    for (si, &i) in scratch.srcs.iter().enumerate() {
+        for (dj, &j) in scratch.dsts.iter().enumerate() {
+            let f = scratch.bip.flow_at(si, dj);
+            if f > MASS_EPS {
+                flows.push((i, j, f));
             }
-            Ok(TransportSolution { cost, flows })
-        }
-        Solver::Simplex => {
-            let sol = {
-                let SolveScratch {
-                    simplex,
-                    supplies,
-                    demands,
-                    costs,
-                    ..
-                } = scratch;
-                simplex::solve_in(simplex, supplies, demands, |si, dj| costs[si * n + dj])?
-            };
-            Ok(TransportSolution {
-                cost: sol.cost,
-                flows: sol
-                    .flows
-                    .into_iter()
-                    .map(|(si, dj, f)| (scratch.srcs[si], scratch.dsts[dj], f))
-                    .collect(),
-            })
         }
     }
+    flows
 }
 
-/// The cost-only hot path: [`solve_emd_in`] without materialising the
-/// flow list. Zero heap traffic once the scratch has reached its
-/// steady-state size.
+/// The cost-only hot path: the EMD between two equal-length mass vectors
+/// under `ground`, on a caller-owned workspace. Zero heap traffic once
+/// the scratch has reached its steady-state size; bit-identical to
+/// [`solve_emd`]'s cost.
 ///
 /// # Errors
 ///
@@ -395,22 +290,9 @@ pub fn emd_cost_in<G: GroundDistance + ?Sized>(
     a: &[f64],
     b: &[f64],
     ground: &G,
-    solver: Solver,
 ) -> Result<f64, EmdError> {
-    let (m, n, warm) = prepare_compacted(scratch, a, b, ground)?;
-    match solver {
-        Solver::Flow => flow_solve_compacted(scratch, m, n, warm),
-        Solver::Simplex => {
-            let SolveScratch {
-                simplex,
-                supplies,
-                demands,
-                costs,
-                ..
-            } = scratch;
-            simplex::solve_cost_in(simplex, supplies, demands, |si, dj| costs[si * n + dj])
-        }
-    }
+    let warm = prepare_compacted(scratch, a, b, ground)?;
+    kernel_solve(scratch, warm)
 }
 
 /// Solve the EMD between two equal-length mass vectors under `ground`.
@@ -425,18 +307,42 @@ pub fn solve_emd<G: GroundDistance>(
     a: &[f64],
     b: &[f64],
     ground: &G,
-    solver: Solver,
 ) -> Result<TransportSolution, EmdError> {
-    solve_emd_in(&mut SolveScratch::new(), a, b, ground, solver)
+    solve_emd_on(&mut SolveScratch::new(), a, b, ground)
+}
+
+/// [`solve_emd`] on a given workspace.
+fn solve_emd_on<G: GroundDistance>(
+    scratch: &mut SolveScratch,
+    a: &[f64],
+    b: &[f64],
+    ground: &G,
+) -> Result<TransportSolution, EmdError> {
+    let warm = prepare_compacted(scratch, a, b, ground)?;
+    let cost = kernel_solve(scratch, warm)?;
+    Ok(TransportSolution {
+        cost,
+        flows: plan(scratch),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ground::GridL1;
+    use crate::simplex;
 
     fn grid(n: usize) -> GridL1 {
         GridL1::new(0.0, 1.0, n).unwrap()
+    }
+
+    /// The transportation-simplex oracle on the dense, uncompacted
+    /// instance.
+    fn oracle(a: &[f64], b: &[f64], g: &impl GroundDistance) -> f64 {
+        let costs: Vec<Vec<f64>> = (0..a.len())
+            .map(|i| (0..b.len()).map(|j| g.cost(i, j)).collect())
+            .collect();
+        simplex::solve(a, b, &costs).unwrap().cost
     }
 
     #[test]
@@ -444,14 +350,9 @@ mod tests {
         let a = [0.5, 0.5, 0.0, 0.0];
         let b = [0.0, 0.0, 0.25, 0.75];
         let g = grid(4);
-        let f = solve_emd(&a, &b, &g, Solver::Flow).unwrap();
-        let s = solve_emd(&a, &b, &g, Solver::Simplex).unwrap();
-        assert!(
-            (f.cost - s.cost).abs() < 1e-9,
-            "flow={} simplex={}",
-            f.cost,
-            s.cost
-        );
+        let f = solve_emd(&a, &b, &g).unwrap().cost;
+        let s = oracle(&a, &b, &g);
+        assert!((f - s).abs() < 1e-9, "kernel={f} simplex={s}");
     }
 
     #[test]
@@ -459,7 +360,7 @@ mod tests {
         let a = [0.3, 0.3, 0.4, 0.0];
         let b = [0.0, 0.1, 0.2, 0.7];
         let g = grid(4);
-        let sol = solve_emd(&a, &b, &g, Solver::Flow).unwrap();
+        let sol = solve_emd(&a, &b, &g).unwrap();
         let mut out = [0.0; 4];
         let mut inn = [0.0; 4];
         for (i, j, f) in &sol.flows {
@@ -478,10 +379,10 @@ mod tests {
         let b = [0.4, 0.3, 0.2, 0.1];
         let g = grid(4);
         let exact = crate::d1::emd_1d_grid(&a, &b, 0.0, 1.0).unwrap();
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let sol = solve_emd(&a, &b, &g, solver).unwrap();
-            assert!((sol.cost - exact).abs() < 1e-9, "{solver:?}");
-        }
+        let kernel = solve_emd(&a, &b, &g).unwrap().cost;
+        assert!((kernel - exact).abs() < 1e-9, "kernel={kernel}");
+        let s = oracle(&a, &b, &g);
+        assert!((s - exact).abs() < 1e-9, "simplex={s}");
     }
 
     #[test]
@@ -491,10 +392,7 @@ mod tests {
             demands: vec![2.0],
             costs: vec![vec![1.0]],
         };
-        assert!(matches!(
-            p.solve(Solver::Flow),
-            Err(EmdError::MassMismatch { .. })
-        ));
+        assert!(matches!(p.solve(), Err(EmdError::MassMismatch { .. })));
     }
 
     #[test]
@@ -504,17 +402,14 @@ mod tests {
             demands: vec![2.0],
             costs: vec![vec![1.0], vec![]],
         };
-        assert!(matches!(
-            p.solve(Solver::Flow),
-            Err(EmdError::LengthMismatch { .. })
-        ));
+        assert!(matches!(p.solve(), Err(EmdError::LengthMismatch { .. })));
     }
 
     #[test]
     fn zero_mass_rejected() {
         let g = grid(2);
         assert!(matches!(
-            solve_emd(&[0.0, 0.0], &[1.0, 0.0], &g, Solver::Flow),
+            solve_emd(&[0.0, 0.0], &[1.0, 0.0], &g),
             Err(EmdError::ZeroMass)
         ));
     }
@@ -523,26 +418,119 @@ mod tests {
     fn identical_histograms_cost_zero() {
         let a = [0.25, 0.25, 0.25, 0.25];
         let g = grid(4);
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let sol = solve_emd(&a, &a, &g, solver).unwrap();
-            assert!(sol.cost.abs() < 1e-9);
-        }
+        assert!(solve_emd(&a, &a, &g).unwrap().cost.abs() < 1e-9);
+        assert!(oracle(&a, &a, &g).abs() < 1e-9);
     }
 
     #[test]
     fn general_transport_instance() {
-        // Classic 2x3 instance solvable by hand.
-        // supplies: [20, 30]; demands: [10, 25, 15]
-        // costs: [[2, 4, 6], [5, 1, 3]]
-        // Optimal: x11=10, x13=10, x22=25, x23=5 -> 20+60+25+15 = 120.
-        let p = TransportProblem {
-            supplies: vec![20.0, 30.0],
-            demands: vec![10.0, 25.0, 15.0],
-            costs: vec![vec![2.0, 4.0, 6.0], vec![5.0, 1.0, 3.0]],
-        };
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let sol = p.solve(solver).unwrap();
-            assert!((sol.cost - 120.0).abs() < 1e-6, "{solver:?}: {}", sol.cost);
+        let cases = [
+            // Classic 2x3 instance solvable by hand.
+            // supplies: [20, 30]; demands: [10, 25, 15]
+            // costs: [[2, 4, 6], [5, 1, 3]]
+            // Optimal: x11=10, x13=10, x22=25, x23=5 -> 20+60+25+15 = 120.
+            TransportProblem {
+                supplies: vec![20.0, 30.0],
+                demands: vec![10.0, 25.0, 15.0],
+                costs: vec![vec![2.0, 4.0, 6.0], vec![5.0, 1.0, 3.0]],
+            },
+            // Rectangular with a zero-mass row and column: both are
+            // compacted away before the kernel runs.
+            TransportProblem {
+                supplies: vec![20.0, 0.0, 30.0],
+                demands: vec![10.0, 0.0, 25.0, 15.0],
+                costs: vec![
+                    vec![2.0, 0.5, 4.0, 6.0],
+                    vec![0.0, 0.0, 0.0, 0.0],
+                    vec![5.0, 0.5, 1.0, 3.0],
+                ],
+            },
+            // Zero mass at both ends of each side, 4x2.
+            TransportProblem {
+                supplies: vec![0.0, 0.3, 0.7, 0.0],
+                demands: vec![0.6, 0.4],
+                costs: vec![
+                    vec![0.0, 0.0],
+                    vec![1.0, 3.0],
+                    vec![2.0, 0.5],
+                    vec![9.0, 9.0],
+                ],
+            },
+            // One non-empty cell among zero rows and columns.
+            TransportProblem {
+                supplies: vec![0.0, 1.0, 0.0],
+                demands: vec![0.0, 0.0, 1.0],
+                costs: vec![vec![1.0; 3], vec![4.0, 5.0, 0.25], vec![7.0; 3]],
+            },
+            // All-zero: nothing survives compaction; zero flow, zero cost.
+            TransportProblem {
+                supplies: vec![0.0, 0.0],
+                demands: vec![0.0],
+                costs: vec![vec![1.0], vec![2.0]],
+            },
+        ];
+        for (k, p) in cases.iter().enumerate() {
+            let sol = p.solve().unwrap();
+            let s = simplex::solve(&p.supplies, &p.demands, &p.costs).unwrap();
+            assert!(
+                (sol.cost - s.cost).abs() < 1e-9,
+                "case {k}: kernel={} simplex={}",
+                sol.cost,
+                s.cost
+            );
+            // The plan only touches non-empty rows and columns and
+            // reproduces every marginal.
+            let mut out = vec![0.0; p.supplies.len()];
+            let mut inn = vec![0.0; p.demands.len()];
+            for &(i, j, f) in &sol.flows {
+                out[i] += f;
+                inn[j] += f;
+            }
+            for (i, &x) in p.supplies.iter().enumerate() {
+                assert!((out[i] - x).abs() < 1e-9, "case {k}: supply {i}");
+            }
+            for (j, &x) in p.demands.iter().enumerate() {
+                assert!((inn[j] - x).abs() < 1e-9, "case {k}: demand {j}");
+            }
         }
+        assert!((cases[0].solve().unwrap().cost - 120.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn reused_scratch_plans_are_bit_identical_to_fresh() {
+        // Sparse pairs, some sharing supports (warm replays), solved on
+        // one long-lived scratch: cost bits and the whole plan must match
+        // a fresh-scratch solve.
+        let pairs: [([f64; 6], [f64; 6]); 5] = [
+            (
+                [0.5, 0.0, 0.5, 0.0, 0.0, 0.0],
+                [0.0, 0.25, 0.0, 0.0, 0.75, 0.0],
+            ),
+            (
+                [0.2, 0.0, 0.8, 0.0, 0.0, 0.0],
+                [0.0, 0.6, 0.0, 0.0, 0.4, 0.0],
+            ),
+            (
+                [0.2, 0.0, 0.8, 0.0, 0.0, 0.0],
+                [0.0, 0.6, 0.0, 0.0, 0.4, 0.0],
+            ),
+            (
+                [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            ),
+            (
+                [0.1, 0.2, 0.3, 0.1, 0.2, 0.1],
+                [0.3, 0.1, 0.1, 0.2, 0.1, 0.2],
+            ),
+        ];
+        let g = grid(6);
+        let mut scratch = SolveScratch::new();
+        for (a, b) in &pairs {
+            let fresh = solve_emd(a, b, &g).unwrap();
+            let reused = solve_emd_on(&mut scratch, a, b, &g).unwrap();
+            assert_eq!(fresh.cost.to_bits(), reused.cost.to_bits());
+            assert_eq!(fresh.flows, reused.flows);
+        }
+        assert_eq!(scratch.stats().warm_starts, 2);
     }
 }

@@ -1,14 +1,23 @@
-//! Property-based tests: the EMD solvers agree with each other and the
-//! closed form, and EMD is a metric on normalised histograms.
+//! Property-based tests: the exact solver agrees with the closed form
+//! and the transportation-simplex oracle, and EMD is a metric on
+//! normalised histograms.
 
 use fairjob_emd::bounds::{
     cdf_l1_grid, cdf_l1_positions, projection_lower, tv_lower, tv_upper, PrefixCdf,
 };
+use fairjob_emd::signature::{diameter, emd_hat, emd_signatures, Signature};
 use fairjob_emd::{
-    emd_1d_grid, emd_1d_samples, emd_between, emd_cost_in, normalise, solve_emd, solve_emd_in,
-    EmdConfig, GridL1, GroundDistance, PositionsL1, SolveScratch, Solver, TransportProblem,
+    emd_1d_grid, emd_1d_samples, emd_between, emd_cost_in, normalise, simplex, solve_emd,
+    EmdConfig, GridL1, GroundDistance, PositionsL1, SolveScratch, TransportProblem,
 };
 use proptest::prelude::*;
+
+/// Dense `n × n` cost matrix of a ground distance.
+fn dense(g: &impl GroundDistance) -> Vec<Vec<f64>> {
+    (0..g.size())
+        .map(|i| (0..g.size()).map(|j| g.cost(i, j)).collect())
+        .collect()
+}
 
 /// Strategy: a mass vector of length `n` with at least one positive entry.
 fn masses(n: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -35,21 +44,20 @@ proptest! {
     #[test]
     fn closed_form_matches_flow_solver(a in masses(8), b in masses(8)) {
         let exact = emd_1d_grid(&a, &b, 0.0, 1.0).unwrap();
-        let flow = emd_between(&a, &b, &EmdConfig::grid_l1(0.0, 1.0).with_solver(Solver::Flow))
-            .unwrap();
+        let g = GridL1::new(0.0, 1.0, 8).unwrap();
+        let flow = solve_emd(&normalise(&a).unwrap(), &normalise(&b).unwrap(), &g)
+            .unwrap()
+            .cost;
         prop_assert!((exact - flow).abs() < 1e-7, "closed={exact} flow={flow}");
     }
 
     #[test]
     fn closed_form_matches_simplex_solver(a in masses(6), b in masses(6)) {
         let exact = emd_1d_grid(&a, &b, 0.0, 1.0).unwrap();
-        // Force the exact solver by going through an explicit matrix ground.
         let g = GridL1::new(0.0, 1.0, 6).unwrap();
-        let m: Vec<Vec<f64>> = (0..6)
-            .map(|i| (0..6).map(|j| fairjob_emd::GroundDistance::cost(&g, i, j)).collect())
-            .collect();
-        let simplex = emd_between(&a, &b, &EmdConfig::matrix(m).with_solver(Solver::Simplex))
-            .unwrap();
+        let simplex = simplex::solve(&normalise(&a).unwrap(), &normalise(&b).unwrap(), &dense(&g))
+            .unwrap()
+            .cost;
         prop_assert!((exact - simplex).abs() < 1e-7, "closed={exact} simplex={simplex}");
     }
 
@@ -63,10 +71,10 @@ proptest! {
         let m: Vec<Vec<f64>> = (0..5)
             .map(|i| (0..5).map(|j| (pos[i] - pos[j]).abs()).collect())
             .collect();
-        let flow = emd_between(&a, &b, &EmdConfig::matrix(m.clone()).with_solver(Solver::Flow))
-            .unwrap();
-        let simplex = emd_between(&a, &b, &EmdConfig::matrix(m).with_solver(Solver::Simplex))
-            .unwrap();
+        let flow = emd_between(&a, &b, &EmdConfig::matrix(m.clone())).unwrap();
+        let simplex = simplex::solve(&normalise(&a).unwrap(), &normalise(&b).unwrap(), &m)
+            .unwrap()
+            .cost;
         prop_assert!((flow - simplex).abs() < 1e-7, "flow={flow} simplex={simplex}");
     }
 
@@ -136,7 +144,6 @@ proptest! {
         pa in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..6),
         pb in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..6),
     ) {
-        use fairjob_emd::signature::{diameter, emd_hat, emd_signatures, Signature};
         let a = Signature::new(pa.iter().map(|p| p.0).collect(), pa.iter().map(|p| p.1).collect())
             .unwrap();
         let b = Signature::new(pb.iter().map(|p| p.0).collect(), pb.iter().map(|p| p.1).collect())
@@ -162,7 +169,6 @@ proptest! {
         pb in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..5),
         pc in prop::collection::vec((0.0f64..1.0, 0.1f64..5.0), 1..5),
     ) {
-        use fairjob_emd::signature::{emd_hat, Signature};
         let mk = |pts: &[(f64, f64)]| {
             Signature::new(pts.iter().map(|p| p.0).collect(), pts.iter().map(|p| p.1).collect())
                 .unwrap()
@@ -263,8 +269,8 @@ proptest! {
         let g = PositionsL1::new(pos);
         let na = normalise(&a).unwrap();
         let nb = normalise(&b).unwrap();
-        let f = solve_emd(&na, &nb, &g, Solver::Flow).unwrap();
-        let s = solve_emd(&na, &nb, &g, Solver::Simplex).unwrap();
+        let f = solve_emd(&na, &nb, &g).unwrap();
+        let s = simplex::solve(&na, &nb, &dense(&g)).unwrap();
         prop_assert!((f.cost - s.cost).abs() < 1e-9, "flow={} simplex={}", f.cost, s.cost);
     }
 
@@ -272,48 +278,88 @@ proptest! {
     fn compacted_solve_matches_uncompacted_problem(
         a in sparse_masses(6),
         b in sparse_masses(6),
+        c in sparse_masses(4),
     ) {
-        // solve_emd compacts onto the non-empty supports; a raw
-        // TransportProblem keeps the zero-mass rows/columns. The optimum
-        // must not depend on which formulation ran.
+        // solve_emd and TransportProblem::solve both compact onto the
+        // non-empty supports; the simplex oracle keeps the zero-mass
+        // rows/columns. The optimum must not depend on which formulation
+        // ran.
         let na = normalise(&a).unwrap();
         let nb = normalise(&b).unwrap();
         let g = GridL1::new(0.0, 1.0, 6).unwrap();
         let p = TransportProblem {
             supplies: na.clone(),
             demands: nb.clone(),
+            costs: dense(&g),
+        };
+        let compacted = solve_emd(&na, &nb, &g).unwrap();
+        let full = p.solve().unwrap();
+        let oracle = simplex::solve(&p.supplies, &p.demands, &p.costs).unwrap();
+        prop_assert!(
+            (compacted.cost - full.cost).abs() < 1e-9,
+            "compacted={} full={}", compacted.cost, full.cost
+        );
+        prop_assert!(
+            (full.cost - oracle.cost).abs() < 1e-9,
+            "full={} simplex={}", full.cost, oracle.cost
+        );
+
+        // Rectangular 6×4 with zero-mass rows and columns.
+        let nc = normalise(&c).unwrap();
+        let rect = TransportProblem {
+            supplies: na.clone(),
+            demands: nc.clone(),
             costs: (0..6)
-                .map(|i| (0..6).map(|j| g.cost(i, j)).collect())
+                .map(|i| (0..4).map(|j| (i as f64 / 5.0 - j as f64 / 3.0).abs()).collect())
                 .collect(),
         };
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let compacted = solve_emd(&na, &nb, &g, solver).unwrap();
-            let full = p.solve(solver).unwrap();
-            prop_assert!(
-                (compacted.cost - full.cost).abs() < 1e-9,
-                "{solver:?}: compacted={} full={}", compacted.cost, full.cost
-            );
+        let kernel = rect.solve().unwrap();
+        let oracle = simplex::solve(&rect.supplies, &rect.demands, &rect.costs).unwrap();
+        prop_assert!(
+            (kernel.cost - oracle.cost).abs() < 1e-9,
+            "rectangular: kernel={} simplex={}", kernel.cost, oracle.cost
+        );
+
+        // Unequal-mass signatures on the raw (unnormalised) weights: the
+        // heavier side's surplus goes to a zero-cost virtual point.
+        let sa = Signature::new((0..6).map(|i| i as f64 / 5.0).collect(), a.clone()).unwrap();
+        let sc = Signature::new((0..4).map(|j| j as f64 / 3.0).collect(), c.clone()).unwrap();
+        let (ta, tc) = (sa.total(), sc.total());
+        let mut supplies = a.clone();
+        let mut demands = c.clone();
+        let mut costs = rect.costs.clone();
+        if ta > tc + 1e-9 {
+            demands.push(ta - tc);
+            for row in &mut costs {
+                row.push(0.0);
+            }
+        } else if tc > ta + 1e-9 {
+            supplies.push(tc - ta);
+            costs.push(vec![0.0; demands.len()]);
         }
+        let oracle = simplex::solve(&supplies, &demands, &costs).unwrap().cost;
+        let partial = emd_signatures(&sa, &sc).unwrap() * ta.min(tc);
+        let hat = emd_hat(&sa, &sc, 0.0).unwrap();
+        prop_assert!((partial - oracle).abs() < 1e-9, "signature: kernel={partial} simplex={oracle}");
+        prop_assert!((hat - oracle).abs() < 1e-9, "emd-hat: kernel={hat} simplex={oracle}");
     }
 
     #[test]
     fn arena_scratch_is_bit_identical_to_legacy_path(
         pairs in prop::collection::vec((sparse_masses(6), sparse_masses(6)), 1..5),
     ) {
-        // One long-lived scratch across pairs and solver switches must
-        // reproduce the fresh-scratch path bit for bit, flows included.
+        // One long-lived scratch across pairs must reproduce the
+        // fresh-scratch path bit for bit (the transport unit tests pin
+        // the plans too).
         let g = GridL1::new(0.0, 1.0, 6).unwrap();
         let mut scratch = SolveScratch::new();
         for (a, b) in &pairs {
             let na = normalise(a).unwrap();
             let nb = normalise(b).unwrap();
-            for solver in [Solver::Flow, Solver::Simplex] {
-                let fresh = solve_emd(&na, &nb, &g, solver).unwrap();
-                let reused = solve_emd_in(&mut scratch, &na, &nb, &g, solver).unwrap();
-                prop_assert_eq!(fresh.cost.to_bits(), reused.cost.to_bits(),
-                    "{:?}: fresh={} reused={}", solver, fresh.cost, reused.cost);
-                prop_assert_eq!(&fresh.flows, &reused.flows);
-            }
+            let fresh = solve_emd(&na, &nb, &g).unwrap();
+            let reused = emd_cost_in(&mut scratch, &na, &nb, &g).unwrap();
+            prop_assert_eq!(fresh.cost.to_bits(), reused.to_bits(),
+                "fresh={} reused={}", fresh.cost, reused);
         }
     }
 
@@ -342,9 +388,8 @@ proptest! {
         let mut warm = SolveScratch::new();
         warm.begin_chunk();
         for w in hists.windows(2) {
-            let hot = emd_cost_in(&mut warm, &w[0], &w[1], &g, Solver::Flow).unwrap();
-            let cold = emd_cost_in(&mut SolveScratch::new(), &w[0], &w[1], &g, Solver::Flow)
-                .unwrap();
+            let hot = emd_cost_in(&mut warm, &w[0], &w[1], &g).unwrap();
+            let cold = emd_cost_in(&mut SolveScratch::new(), &w[0], &w[1], &g).unwrap();
             prop_assert_eq!(hot.to_bits(), cold.to_bits(), "hot={} cold={}", hot, cold);
         }
         // Solves 2..k share supports and costs with their predecessor.

@@ -292,7 +292,11 @@ impl<'a> Session<'a> {
         };
         let defaults = PlanDefaults {
             algorithm: self.defaults.algorithm.name(),
-            metric: self.defaults.metric.name().to_string(),
+            // The planner keys bound screens and cache identity on the
+            // query spelling (`tv`), not the distance's own name.
+            metric: distance::spelling_of(&*self.defaults.metric)
+                .unwrap_or_else(|| self.defaults.metric.name())
+                .to_string(),
             bins: self.defaults.bins,
             threads: self.defaults.threads,
             shards: self.defaults.shards,

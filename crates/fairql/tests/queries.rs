@@ -6,6 +6,7 @@ use fairjob_core::algorithms::by_name;
 use fairjob_core::{AuditConfig, AuditContext, EngineStats};
 use fairjob_fairql::physical::{PhysicalPlan, PlannerOptions, ScanKind};
 use fairjob_fairql::{parse, Defaults, QueryError, QueryOutput, Session, Source, Value};
+use fairjob_hist::distance::{by_name as metric_by_name, METRIC_NAMES};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
 use fairjob_store::Table;
@@ -253,6 +254,47 @@ fn explain_without_analyze_does_not_execute() {
     assert!(text.contains("IndexScan"), "{text}");
     assert!(text.contains("est:"), "{text}");
     assert!(!text.contains("actual:"), "{text}");
+}
+
+#[test]
+fn session_default_metric_plans_like_the_inline_clause() {
+    // `--metric tv` (a session default) and `METRIC tv` (inline) are
+    // the same audit: the same metric spelling and bound screen.
+    let (table, scores) = population(200);
+    let audit_line = |defaults: Defaults, query: &str| -> String {
+        let mut session = Session::new(
+            Source::Batch {
+                table: &table,
+                scores: &scores,
+            },
+            defaults,
+        )
+        .unwrap();
+        let outputs = session.execute(query).unwrap();
+        let QueryOutput::Explain { text } = &outputs[0] else {
+            panic!("not an explain output")
+        };
+        text.lines()
+            .find(|l| l.trim_start().starts_with("Audit"))
+            .unwrap_or_else(|| panic!("no Audit node in:\n{text}"))
+            .to_string()
+    };
+    for &name in METRIC_NAMES {
+        let defaults = Defaults {
+            metric: metric_by_name(name).unwrap(),
+            ..Defaults::default()
+        };
+        let default_form = audit_line(defaults, "EXPLAIN AUDIT workers PROTECT gender");
+        let inline_form = audit_line(
+            Defaults::default(),
+            &format!("EXPLAIN AUDIT workers PROTECT gender METRIC {name}"),
+        );
+        assert_eq!(default_form, inline_form, "metric {name}");
+        assert!(
+            default_form.contains(&format!("metric={name}")),
+            "{default_form}"
+        );
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use crate::histogram::Histogram;
 use fairjob_emd::bounds;
 use fairjob_emd::{
-    EmdError, GridL1, GroundCache, GroundMatrix, PositionsL1, SolveScratch, Solver, Thresholded,
+    EmdError, GridL1, GroundCache, GroundMatrix, PositionsL1, SolveScratch, Thresholded,
 };
 use std::fmt;
 
@@ -201,33 +201,27 @@ impl HistogramDistance for Emd1d {
     }
 }
 
-/// EMD via an exact transportation solver (flow or simplex). Numerically
-/// identical to [`Emd1d`] on 1-D grounds; exists for differential testing
-/// and for callers that want the simplex backend.
+/// EMD via the exact transportation solver. Numerically identical to
+/// [`Emd1d`] on 1-D grounds (to ~1e-9, not bit for bit); the `emd-exact`
+/// metric.
 #[derive(Debug, Clone, Copy)]
-pub struct EmdExact {
-    /// Which exact backend to use.
-    pub solver: Solver,
-}
+pub struct EmdExact;
 
 impl HistogramDistance for EmdExact {
     fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
         let (fa, fb) = frequencies(a, b)?;
         let spec = a.spec();
         let ground = fairjob_emd::PositionsL1::new(spec.centres());
-        Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &ground, self.solver)?.cost)
+        Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &ground)?.cost)
     }
 
     fn name(&self) -> &'static str {
-        match self.solver {
-            Solver::Flow => "emd-flow",
-            Solver::Simplex => "emd-simplex",
-        }
+        "emd-exact"
     }
 
     /// Projection lower bound and total-variation upper bound around the
-    /// transportation solvers. Not exact (the solvers take a different
-    /// numeric path), but valid for the L1-on-centres ground they use.
+    /// transportation solver. Not exact (the solver takes a different
+    /// numeric path), but valid for the L1-on-centres ground it uses.
     fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
         if a.spec() != b.spec() {
             return None;
@@ -243,9 +237,9 @@ impl HistogramDistance for EmdExact {
     }
 
     /// Solve on the workspace: cached ground matrix (no per-pair centre
-    /// walk or validation), reused solver buffers, and — for the flow
-    /// backend — warm-started duals between consecutive pairs sharing a
-    /// support set. Bit-identical to `distance`.
+    /// walk or validation), reused solver buffers, and a replayed round-1
+    /// Dijkstra between consecutive pairs sharing a support set.
+    /// Bit-identical to `distance`.
     fn distance_with(
         &self,
         a: &Histogram,
@@ -258,13 +252,7 @@ impl HistogramDistance for EmdExact {
             |sig| positions_sig(spec, sig),
             || GroundMatrix::build(&PositionsL1::new(spec.centres())),
         )?;
-        Ok(fairjob_emd::emd_cost_in(
-            scratch,
-            &fa,
-            &fb,
-            &ground,
-            self.solver,
-        )?)
+        Ok(fairjob_emd::emd_cost_in(scratch, &fa, &fb, &ground)?)
     }
 
     fn prime(&self, h: &Histogram) -> Result<(), DistanceError> {
@@ -301,10 +289,10 @@ impl HistogramDistance for EmdThresholded {
             return {
                 let pos = fairjob_emd::PositionsL1::new(spec.centres());
                 let t = Thresholded::new(pos, self.threshold);
-                Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &t, Solver::Flow)?.cost)
+                Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &t)?.cost)
             };
         };
-        Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &ground, Solver::Flow)?.cost)
+        Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &ground)?.cost)
     }
 
     fn name(&self) -> &'static str {
@@ -351,13 +339,7 @@ impl HistogramDistance for EmdThresholded {
             |sig| thresholded_sig(spec, threshold, sig),
             || build_thresholded_matrix(spec, threshold),
         )?;
-        Ok(fairjob_emd::emd_cost_in(
-            scratch,
-            &fa,
-            &fb,
-            &ground,
-            Solver::Flow,
-        )?)
+        Ok(fairjob_emd::emd_cost_in(scratch, &fa, &fb, &ground)?)
     }
 
     fn prime(&self, h: &Histogram) -> Result<(), DistanceError> {
@@ -529,9 +511,7 @@ impl HistogramDistance for ChiSquare {
 pub fn by_name(name: &str) -> Option<std::sync::Arc<dyn HistogramDistance>> {
     Some(match name {
         "emd" => std::sync::Arc::new(Emd1d),
-        "emd-exact" => std::sync::Arc::new(EmdExact {
-            solver: Solver::Flow,
-        }),
+        "emd-exact" => std::sync::Arc::new(EmdExact),
         "tv" => std::sync::Arc::new(TotalVariation),
         "ks" => std::sync::Arc::new(KolmogorovSmirnov),
         "jsd" => std::sync::Arc::new(JensenShannon),
@@ -543,6 +523,16 @@ pub fn by_name(name: &str) -> Option<std::sync::Arc<dyn HistogramDistance>> {
 
 /// The names [`by_name`] accepts, for error messages.
 pub const METRIC_NAMES: &[&str] = &["emd", "emd-exact", "tv", "ks", "jsd", "hellinger", "chi2"];
+
+/// The [`by_name`] spelling of a registered distance (`tv` for
+/// [`TotalVariation`], whose [`HistogramDistance::name`] is
+/// `total-variation`); `None` for a distance outside the registry.
+pub fn spelling_of(metric: &dyn HistogramDistance) -> Option<&'static str> {
+    METRIC_NAMES
+        .iter()
+        .copied()
+        .find(|&n| by_name(n).is_some_and(|d| d.name() == metric.name()))
+}
 
 /// All bounded symmetric distances, for metric-sweep ablations.
 pub fn all_symmetric_distances() -> Vec<Box<dyn HistogramDistance>> {
@@ -670,10 +660,23 @@ mod tests {
         let a = h(&[0.12, 0.34, 0.55, 0.9]);
         let b = h(&[0.2, 0.21, 0.8]);
         let closed = Emd1d.distance(&a, &b).unwrap();
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let exact = EmdExact { solver }.distance(&a, &b).unwrap();
-            assert!((closed - exact).abs() < 1e-9, "{solver:?}");
-        }
+        let exact = EmdExact.distance(&a, &b).unwrap();
+        assert!(
+            (closed - exact).abs() < 1e-9,
+            "closed={closed} exact={exact}"
+        );
+        // The transportation-simplex oracle on the same frequencies.
+        let (fa, fb) = frequencies(&a, &b).unwrap();
+        let centres = a.spec().centres();
+        let costs: Vec<Vec<f64>> = centres
+            .iter()
+            .map(|x| centres.iter().map(|y| (x - y).abs()).collect())
+            .collect();
+        let oracle = fairjob_emd::simplex::solve(&fa, &fb, &costs).unwrap().cost;
+        assert!(
+            (closed - oracle).abs() < 1e-9,
+            "closed={closed} simplex={oracle}"
+        );
     }
 
     #[test]
@@ -719,13 +722,10 @@ mod tests {
     fn solver_bounds_sandwich_the_distance() {
         let a = h(&[0.05, 0.1, 0.4]);
         let b = h(&[0.6, 0.95]);
-        for solver in [Solver::Flow, Solver::Simplex] {
-            let dist = EmdExact { solver };
-            let bd = dist.bounds(&a, &b).unwrap();
-            assert!(!bd.exact);
-            let d = dist.distance(&a, &b).unwrap();
-            assert!(bd.lower <= d + 1e-9 && d <= bd.upper + 1e-9);
-        }
+        let bd = EmdExact.bounds(&a, &b).unwrap();
+        assert!(!bd.exact);
+        let d = EmdExact.distance(&a, &b).unwrap();
+        assert!(bd.lower <= d + 1e-9 && d <= bd.upper + 1e-9);
         let dist = EmdThresholded { threshold: 0.25 };
         let bd = dist.bounds(&a, &b).unwrap();
         let d = dist.distance(&a, &b).unwrap();
@@ -749,19 +749,12 @@ mod tests {
             h(&[0.2, 0.21, 0.8]),
             h(&[0.05, 0.5, 0.95]),
         ];
-        let exact_flow = EmdExact {
-            solver: Solver::Flow,
-        };
-        let exact_simplex = EmdExact {
-            solver: Solver::Simplex,
-        };
         let thresholded = EmdThresholded { threshold: 0.25 };
         let mut scratch = SolveScratch::new();
         for a in &hists {
             for b in &hists {
                 for dist in [
-                    &exact_flow as &dyn HistogramDistance,
-                    &exact_simplex,
+                    &EmdExact as &dyn HistogramDistance,
                     &thresholded,
                     &Emd1d, // default impl must also agree
                 ] {
@@ -784,9 +777,7 @@ mod tests {
         let s = BinSpec::equal_width(0.0, 0.731, 9).unwrap();
         let a = Histogram::from_values(s.clone(), [0.1, 0.3].iter().copied());
         let b = Histogram::from_values(s, [0.5, 0.7].iter().copied());
-        let dist = EmdExact {
-            solver: Solver::Flow,
-        };
+        let dist = EmdExact;
         dist.prime(&a).unwrap();
         let mut scratch = SolveScratch::new();
         scratch.begin_chunk();
@@ -805,9 +796,7 @@ mod tests {
         let a = mk(&[0.1, 0.1, 0.4, 0.9]);
         let b = mk(&[0.1, 0.4, 0.4, 0.9]);
         let c = mk(&[0.1, 0.4, 0.9, 0.9]);
-        let dist = EmdExact {
-            solver: Solver::Flow,
-        };
+        let dist = EmdExact;
         let mut scratch = SolveScratch::new();
         scratch.begin_chunk();
         let d1 = dist.distance_with(&a, &b, &mut scratch).unwrap();
@@ -821,19 +810,12 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(Emd1d.name(), "emd");
-        assert_eq!(
-            EmdExact {
-                solver: Solver::Flow
-            }
-            .name(),
-            "emd-flow"
-        );
-        assert_eq!(
-            EmdExact {
-                solver: Solver::Simplex
-            }
-            .name(),
-            "emd-simplex"
-        );
+        // The exact metric reports under its `by_name` spelling.
+        assert_eq!(EmdExact.name(), "emd-exact");
+        assert_eq!(by_name("emd-exact").unwrap().name(), "emd-exact");
+        for &n in METRIC_NAMES {
+            assert_eq!(spelling_of(&*by_name(n).unwrap()), Some(n));
+        }
+        assert_eq!(spelling_of(&EmdThresholded { threshold: 0.2 }), None);
     }
 }

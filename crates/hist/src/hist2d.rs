@@ -10,7 +10,7 @@
 
 use crate::bins::BinSpec;
 use crate::distance::DistanceError;
-use fairjob_emd::{GroundDistance, Solver};
+use fairjob_emd::GroundDistance;
 
 /// A dense 2-D histogram over the product of two [`BinSpec`] grids.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,7 +170,7 @@ pub fn emd_2d(a: &Histogram2d, b: &Histogram2d) -> Result<f64, DistanceError> {
     let fa: Vec<f64> = a.counts.iter().map(|c| c / a.total).collect();
     let fb: Vec<f64> = b.counts.iter().map(|c| c / b.total).collect();
     let ground = GridL1_2d::new(&a.x_spec, &a.y_spec);
-    Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &ground, Solver::Flow)?.cost)
+    Ok(fairjob_emd::transport::solve_emd(&fa, &fb, &ground)?.cost)
 }
 
 #[cfg(test)]

@@ -32,7 +32,6 @@ pub mod bins;
 pub mod distance;
 pub mod hist2d;
 pub mod histogram;
-pub mod sketch;
 
 pub use bins::BinSpec;
 pub use distance::{DistanceBounds, DistanceError, HistogramDistance};
