@@ -10,17 +10,18 @@ pub struct Args {
     switches: Vec<String>,
 }
 
-/// Flags that take no value, per subcommand surface.
-const SWITCHES: &[&str] = &["correlated", "histograms", "json", "cold-check", "help"];
+/// Flags that take no value, on every subcommand that accepts them.
+const SWITCHES: &[&str] = &["correlated", "histograms", "json", "cold-check"];
 
 impl Args {
-    /// Parse an argument list.
+    /// Parse an argument list against the flags a subcommand accepts
+    /// (`accepted`: space-separated names without the `--` prefix).
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] on non-flag tokens, repeated flags or a
-    /// trailing flag with no value.
-    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
+    /// [`CliError::Usage`] on non-flag tokens, flags outside `accepted`,
+    /// repeated flags or a trailing flag with no value.
+    pub fn parse(argv: &[String], accepted: &str) -> Result<Self, CliError> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -28,6 +29,12 @@ impl Args {
             let Some(name) = token.strip_prefix("--") else {
                 return Err(CliError::Usage(format!("unexpected argument `{token}`")));
             };
+            if !accepted.split(' ').any(|flag| flag == name) {
+                return Err(CliError::Usage(format!(
+                    "unknown flag `--{name}` (accepted: --{})",
+                    accepted.replace(' ', ", --")
+                )));
+            }
             if SWITCHES.contains(&name) {
                 args.switches.push(name.to_string());
                 i += 1;
@@ -89,13 +96,14 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
+    fn parse(parts: &[&str]) -> Result<Args, CliError> {
+        let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
+        Args::parse(&argv, "size out seed bins correlated histograms")
     }
 
     #[test]
     fn options_and_switches() {
-        let a = Args::parse(&argv(&["--size", "100", "--correlated", "--out", "x.csv"])).unwrap();
+        let a = parse(&["--size", "100", "--correlated", "--out", "x.csv"]).unwrap();
         assert_eq!(a.required("size").unwrap(), "100");
         assert_eq!(a.required("out").unwrap(), "x.csv");
         assert!(a.switch("correlated"));
@@ -106,21 +114,21 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(Args::parse(&argv(&["positional"])).is_err());
-        assert!(Args::parse(&argv(&["--size"])).is_err());
-        assert!(Args::parse(&argv(&["--size", "1", "--size", "2"])).is_err());
+        assert!(parse(&["positional"]).is_err());
+        assert!(parse(&["--size"]).is_err());
+        assert!(parse(&["--size", "1", "--size", "2"]).is_err());
     }
 
     #[test]
     fn missing_required_reported() {
-        let a = Args::parse(&argv(&[])).unwrap();
+        let a = parse(&[]).unwrap();
         let err = a.required("workers").unwrap_err();
         assert!(err.to_string().contains("--workers"));
     }
 
     #[test]
     fn parse_failure_reported() {
-        let a = Args::parse(&argv(&["--bins", "lots"])).unwrap();
+        let a = parse(&["--bins", "lots"]).unwrap();
         assert!(a.parsed_or("bins", 10usize).is_err());
     }
 }

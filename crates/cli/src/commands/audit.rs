@@ -31,13 +31,16 @@ pub(crate) fn resolve_metric(name: &str) -> Result<Arc<dyn HistogramDistance>, C
     })
 }
 
+pub(crate) const FLAGS: &str = "workers schema function alpha paged mem-budget \
+    algorithm bins metric permutations histograms json seed";
+
 /// Run the subcommand; returns the audit report.
 ///
 /// # Errors
 ///
 /// [`CliError`] on bad flags, unreadable input, or audit failure.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     if let Some(path) = args.optional("paged") {
         return run_paged(&args, path);
     }
@@ -57,7 +60,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let config = AuditConfig {
         bins,
         distance: metric,
-        shards: crate::commands::parse_shards(&args)?,
         ..Default::default()
     };
     let ctx = AuditContext::new(&workers, &scores, config)
@@ -96,7 +98,6 @@ fn run_paged(args: &Args, path: &str) -> Result<String, CliError> {
     let config = AuditConfig {
         bins,
         distance: metric,
-        shards: crate::commands::parse_shards(args)?,
         ..Default::default()
     };
     let ctx = AuditContext::from_paged(&store, config, None, None)

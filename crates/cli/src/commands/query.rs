@@ -41,6 +41,10 @@ fn expand_short_flags(argv: &[String]) -> Vec<String> {
         .collect()
 }
 
+/// Flags `query` accepts (`-e` is rewritten to `--query` first).
+pub(crate) const FLAGS: &str =
+    "workers schema function alpha paged mem-budget query file algorithm metric bins threads seed";
+
 /// Run the subcommand; returns the rendered outputs of every statement.
 ///
 /// # Errors
@@ -49,7 +53,7 @@ fn expand_short_flags(argv: &[String]) -> Vec<String> {
 /// errors, [`CliError::Io`] (exit 3) on unreadable inputs,
 /// [`CliError::Run`] (exit 4) on execution failures.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(&expand_short_flags(argv))?;
+    let args = Args::parse(&expand_short_flags(argv), FLAGS)?;
     let seed: u64 = args.parsed_or("seed", 0xBEEF)?;
     // Paged sources bring their own scores; batch sources load + score.
     let paged = match args.optional("paged") {
@@ -108,7 +112,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             None => None,
             Some(_) => Some(args.parsed_or("threads", 0usize)?),
         },
-        shards: crate::commands::parse_shards(&args)?,
         ..Defaults::default()
     };
     let mut session = Session::new(source, defaults).map_err(map_query_error)?;

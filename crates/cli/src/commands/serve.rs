@@ -20,6 +20,9 @@ use fairjob_stream::StreamView;
 use std::io::Write;
 use std::sync::Arc;
 
+pub(crate) const FLAGS: &str = "workers schema function alpha snapshot mem-budget \
+    algorithm bins metric addr addr-file max-inflight max-sessions seed";
+
 /// Run the subcommand; blocks while the daemon serves and returns the
 /// drain summary.
 ///
@@ -29,7 +32,7 @@ use std::sync::Arc;
 /// input, [`CliError::Run`] when the daemon stops on a listener
 /// failure (after draining in-flight sessions).
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let seed: u64 = args.parsed_or("seed", 0xBEEF)?;
     let algorithm: Arc<dyn fairjob_core::algorithms::Algorithm + Send + Sync> =
         crate::commands::audit::resolve_algorithm(
@@ -80,7 +83,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let config = AuditConfig {
         bins: view.spec().len(),
         distance: metric,
-        shards: crate::commands::parse_shards(&args)?,
         ..Default::default()
     };
     let live = view.live_count();

@@ -83,6 +83,9 @@ fn json_epoch(report: &EpochReport) -> String {
     )
 }
 
+pub(crate) const FLAGS: &str =
+    "workers schema events function alpha algorithm bins metric cold-check json seed";
+
 /// Run the subcommand; returns the replay report.
 ///
 /// # Errors
@@ -90,7 +93,7 @@ fn json_epoch(report: &EpochReport) -> String {
 /// [`CliError`] on bad flags, unreadable or unparsable input, event
 /// application failures, or a failed `--cold-check`.
 pub fn run(argv: &[String]) -> Result<String, CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, FLAGS)?;
     let workers =
         crate::commands::load_workers(args.required("workers")?, args.optional("schema"))?;
     let events_path = args.required("events")?;
@@ -115,7 +118,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let config = AuditConfig {
         bins,
         distance: metric,
-        shards: crate::commands::parse_shards(&args)?,
         ..Default::default()
     };
     let view = StreamView::new(workers, scores, bins)

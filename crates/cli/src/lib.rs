@@ -75,24 +75,22 @@ USAGE:
                    [--algorithm balanced|unbalanced|r-balanced|r-unbalanced|all-attributes|subset-exact]
                    [--bins N] [--metric emd|emd-exact|tv|ks|jsd|hellinger|chi2]
                    [--permutations N] [--histograms] [--json] [--seed S]
-                   [--shards auto|off|N]
   fairjob query    (--workers FILE.csv (--function f1..f9 | --alpha A)
                     | --paged FILE.fjp [--mem-budget BYTES])
                    [-e QUERY | --query QUERY | --file FILE.fql]
                    [--algorithm ...] [--metric ...] [--bins N]
-                   [--threads N] [--seed S] [--shards auto|off|N]
+                   [--threads N] [--seed S]
   fairjob snapshot --workers FILE.csv (--function f1..f9 | --alpha A)
                    [--bins N] [--seed S] --out FILE.fjp
   fairjob snapshot --info FILE.fjp
   fairjob stream   --workers FILE.csv --events FILE (--function f1..f9 | --alpha A)
                    [--algorithm ...] [--bins N] [--metric ...]
-                   [--cold-check] [--json] [--seed S] [--shards auto|off|N]
+                   [--cold-check] [--json] [--seed S]
   fairjob serve    (--workers FILE.csv (--function f1..f9 | --alpha A)
                     | --snapshot FILE.fjp [--mem-budget BYTES])
                    [--algorithm ...] [--bins N] [--metric ...]
                    [--addr HOST:PORT] [--addr-file FILE]
                    [--max-inflight N] [--max-sessions N] [--seed S]
-                   [--shards auto|off|N]
   fairjob repair   --workers FILE.csv (--function f1..f9 | --alpha A)
                    [--lambda L] [--target median|pooled] --out SCORES.csv [--seed S]
   fairjob rerank   --workers FILE.csv (--function f1..f9 | --alpha A)
@@ -111,11 +109,6 @@ cache (--mem-budget, k/m/g suffixes, default 64m) — bit-identical to
 the in-memory audit at every budget — and `serve --snapshot`
 cold-starts the daemon from the file at its recorded epoch, no event
 replay. `snapshot --info` prints a file's header facts.
-
---shards picks the shard layout for the audit context's data-parallel
-split/classify kernels (auto = from row count and thread budget, off =
-the legacy scalar path, N = exactly N row-range shards). Results are
-bit-identical under every setting; only speed changes.
 
 Every command reading --workers also accepts --schema FILE: a schema
 descriptor (see fairjob_store::schema_text) describing a non-default
@@ -161,6 +154,9 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
         return Err(CliError::Usage(format!("missing subcommand\n\n{USAGE}")));
     };
     let rest = &argv[1..];
+    if rest.iter().any(|arg| arg == "--help") {
+        return Ok(USAGE.to_string());
+    }
     match command.as_str() {
         "generate" => commands::generate::run(rest),
         "describe" => commands::describe::run(rest),
@@ -212,6 +208,27 @@ mod tests {
         ])
         .unwrap_err();
         assert_eq!(err.exit_code(), 3);
+    }
+
+    #[test]
+    fn every_verb_rejects_unknown_flags_by_name() {
+        let verbs = [
+            "generate", "describe", "audit", "query", "stream", "serve", "snapshot", "repair",
+            "rerank",
+        ];
+        for verb in verbs {
+            // A misspelling and the removed `--shards` must both fail
+            // before any file is read.
+            for bogus in ["--bin", "--shards"] {
+                let err = dispatch(&[verb, bogus, "off"].map(String::from)).unwrap_err();
+                assert_eq!(err.exit_code(), 2, "{verb} {bogus}: {err}");
+                assert!(err.to_string().contains(&format!("unknown flag `{bogus}`")));
+            }
+            assert_eq!(
+                dispatch(&[verb, "--help"].map(String::from)).unwrap(),
+                USAGE
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use fairjob_hist::distance::Emd1d;
 use fairjob_hist::{BinSpec, Histogram, HistogramDistance};
 use fairjob_store::index::{CategoricalIndex, IndexSet};
 use fairjob_store::paged::{PageCacheStats, PageCounters, PageData, PagedColumn, PAGE_ALIGN_ROWS};
-use fairjob_store::{PagedStore, Predicate, RowSet, Schema, ShardPlan, ShardPolicy, Table};
+use fairjob_store::{PagedStore, Predicate, RowSet, Schema, ShardPlan, Table};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -40,16 +40,9 @@ pub struct AuditConfig {
     /// `None` (the default) lets the engine pick from the machine's
     /// available parallelism. Results are bit-identical for every
     /// thread count; this knob exists for reproducible benchmarking
-    /// and resource capping.
+    /// and resource capping. The thread budget also caps the context's
+    /// row-range shard count (see [`ShardPlan::auto`]).
     pub threads: Option<usize>,
-    /// Row-range sharding of the per-row kernels (classification,
-    /// splits, index build). [`ShardPolicy::Auto`] (the default) picks
-    /// a shard count from the row count and thread budget;
-    /// [`ShardPolicy::Disabled`] runs the legacy scalar kernels — the
-    /// baseline the `shard_scale` bench gates against. Audit results
-    /// are bit-identical under every policy; only the `shard_tasks` /
-    /// `rows_classified_parallel` counters (and wall-clock) change.
-    pub shards: ShardPolicy,
 }
 
 impl Default for AuditConfig {
@@ -60,7 +53,6 @@ impl Default for AuditConfig {
             attributes: None,
             min_partition_size: 1,
             threads: None,
-            shards: ShardPolicy::Auto,
         }
     }
 }
@@ -73,7 +65,6 @@ impl std::fmt::Debug for AuditConfig {
             .field("attributes", &self.attributes)
             .field("min_partition_size", &self.min_partition_size)
             .field("threads", &self.threads)
-            .field("shards", &self.shards)
             .finish()
     }
 }
@@ -128,12 +119,12 @@ pub struct AuditContext<'a> {
     /// built during the search reads this array instead of re-binning
     /// floats. Shared for the same reason as `indexes`.
     bin_of: Arc<Vec<u32>>,
-    /// Byte-narrowed copy of `bin_of`, built once for sharded batch
+    /// Byte-narrowed copy of `bin_of`, built once for batch and paged
     /// contexts when the layout fits a byte (bins ≤ 256 — always, for
     /// the paper's configurations). The serial split fast path reads 1
-    /// byte per row instead of 4; `None` on legacy and streaming
-    /// contexts (the stream view patches `bin_of` in place and a second
-    /// maintained array would double its write traffic).
+    /// byte per row instead of 4; `None` on streaming contexts (the
+    /// stream view patches `bin_of` in place and a second maintained
+    /// array would double its write traffic).
     bin8: Option<Arc<Vec<u8>>>,
     /// The audited rows. `None` = every table row (the batch case);
     /// `Some` = the live subset of a streaming view whose table keeps
@@ -141,11 +132,11 @@ pub struct AuditContext<'a> {
     live: Option<RowSet>,
     /// Epoch stamp of the underlying data version (0 for batch audits).
     epoch: u64,
-    /// Resolved shard layout (`None` = [`ShardPolicy::Disabled`]: the
-    /// legacy scalar kernels). Fixed at build from `(rows, policy,
-    /// thread budget)`, so every split of this context shards the same
-    /// way.
-    shard_plan: Option<ShardPlan>,
+    /// Row-range shard layout of the split/classify kernels:
+    /// [`ShardPlan::auto`] of `(rows, thread budget)`, page-aligned on
+    /// paged contexts. Fixed at build, so every split of this context
+    /// shards the same way.
+    shard_plan: ShardPlan,
     /// Data-parallel work counters, accumulated across the context's
     /// lifetime and folded into [`crate::EngineStats`] by
     /// [`crate::EvalEngine::stats`]. Relaxed atomics: every increment
@@ -188,7 +179,7 @@ impl std::fmt::Debug for AuditContext<'_> {
             .field("distance", &self.distance.name())
             .field("attributes", &self.attributes)
             .field("min_partition_size", &self.min_partition_size)
-            .field("shards", &self.shard_plan.as_ref().map(ShardPlan::shards))
+            .field("shards", &self.shard_plan.shards())
             .finish()
     }
 }
@@ -216,58 +207,28 @@ impl<'a> AuditContext<'a> {
             });
         }
         let parallelism = Self::parallelism_for(config.threads);
-        let shard_plan = config.shards.plan(table.len(), parallelism);
-        if shard_plan.is_none() {
-            // Legacy path: upfront branchless bulk validation the
-            // compiler can vectorize — the bounds test alone rejects
-            // every bad value (NaN and +inf fail `<= 1`, -inf fails
-            // `>= 0`). The sharded path fuses this fold into the
-            // classification pass instead (scores are read once);
-            // [`AuditContext::first_bad_score`] keeps the error
-            // precedence identical between the two paths.
-            if let Some((row, value)) = Self::first_bad_score(scores) {
-                return Err(AuditError::BadScore { row, value });
-            }
-        }
-        let spec = match BinSpec::equal_width(0.0, 1.0, config.bins) {
-            Ok(spec) => spec,
-            Err(e) => {
-                // Sharded path: a bad score still outranks a bad bin
-                // count, exactly as the legacy upfront validation had it.
-                if let Some((row, value)) = Self::first_bad_score(scores) {
-                    return Err(AuditError::BadScore { row, value });
-                }
-                return Err(AuditError::Bins(e.to_string()));
-            }
+        let shard_plan = ShardPlan::auto(table.len(), parallelism);
+        // Scores are validated inside the classification pass below, so
+        // the config checks run first — but a bad score still outranks
+        // a bad bin count or attribute selection.
+        let config_error = |e: AuditError| match Self::first_bad_score(scores) {
+            Some((row, value)) => AuditError::BadScore { row, value },
+            None => e,
         };
-        let attributes = match Self::resolve_attributes_in(table.schema(), &config) {
-            Ok(attributes) => attributes,
-            Err(e) => {
-                // Same precedence guard as for the bin spec above.
-                if let Some((row, value)) = Self::first_bad_score(scores) {
-                    return Err(AuditError::BadScore { row, value });
-                }
-                return Err(e);
-            }
-        };
+        let spec = BinSpec::equal_width(0.0, 1.0, config.bins)
+            .map_err(|e| config_error(AuditError::Bins(e.to_string())))?;
+        let attributes =
+            Self::resolve_attributes_in(table.schema(), &config).map_err(config_error)?;
         let shard_counters = ShardCounters::default();
-        let (indexes, bin_of, bin8) = match &shard_plan {
-            None => (
-                Arc::new(IndexSet::build(table)?),
-                Arc::new(scores.iter().map(|&s| spec.bin_index(s) as u32).collect()),
-                None,
-            ),
-            Some(plan) => {
-                let (bin_of, bin8) =
-                    Self::classify_validated(&spec, scores, plan, parallelism, &shard_counters)?;
-                // Sharded contexts index exactly the audited attributes
-                // (splits only ever touch those); the legacy path keeps
-                // building every splittable attribute.
-                let indexes = Arc::new(IndexSet::build_sharded_subset(table, &attributes, plan)?);
-                shard_counters.note(plan.shards() * attributes.len(), 0);
-                (indexes, Arc::new(bin_of), bin8.map(Arc::new))
-            }
-        };
+        let (bin_of, bin8) =
+            Self::classify_validated(&spec, scores, &shard_plan, parallelism, &shard_counters)?;
+        // Index exactly the audited attributes: splits only touch those.
+        let indexes = Arc::new(IndexSet::build_sharded_subset(
+            table,
+            &attributes,
+            &shard_plan,
+        )?);
+        shard_counters.note(shard_plan.shards() * attributes.len(), 0);
         Ok(AuditContext {
             source: DataSource::Mem(table),
             scores: Some(scores),
@@ -277,8 +238,8 @@ impl<'a> AuditContext<'a> {
             indexes,
             min_partition_size: config.min_partition_size.max(1),
             threads: config.threads,
-            bin_of,
-            bin8,
+            bin_of: Arc::new(bin_of),
+            bin8: bin8.map(Arc::new),
             live: None,
             epoch: 0,
             shard_plan,
@@ -288,8 +249,8 @@ impl<'a> AuditContext<'a> {
         })
     }
 
-    /// The thread budget the sharded kernels (and the auto shard
-    /// policy) work with — the same resolution [`crate::EvalEngine`]
+    /// The thread budget the sharded kernels (and the shard layout)
+    /// work with — the same resolution [`crate::EvalEngine`]
     /// applies to `config.threads`.
     fn parallelism_for(threads: Option<usize>) -> usize {
         threads
@@ -324,8 +285,7 @@ impl<'a> AuditContext<'a> {
     ///
     /// # Errors
     ///
-    /// [`AuditError::BadScore`] with the **first** offending row — the
-    /// same error the legacy upfront validation produces.
+    /// [`AuditError::BadScore`] with the **first** offending row.
     fn classify_validated(
         spec: &BinSpec,
         scores: &[f64],
@@ -433,9 +393,7 @@ impl<'a> AuditContext<'a> {
             }
         }
         let attributes = Self::resolve_attributes_in(table.schema(), &config)?;
-        let shard_plan = config
-            .shards
-            .plan(table.len(), Self::parallelism_for(config.threads));
+        let shard_plan = ShardPlan::auto(table.len(), Self::parallelism_for(config.threads));
         Ok(AuditContext {
             source: DataSource::Mem(table),
             scores: Some(scores),
@@ -465,7 +423,7 @@ impl<'a> AuditContext<'a> {
     /// budget — never the raw columns. Sharding aligns its interior
     /// boundaries to page boundaries ([`ShardPlan::new_aligned`] with
     /// granule [`PAGE_ALIGN_ROWS`]); results stay bit-identical to the
-    /// in-memory audit of the materialized table under every layout,
+    /// in-memory audit of the materialized table at every thread count,
     /// because classification is elementwise per page, postings are
     /// emitted in row order, and the split kernels never read raw data
     /// after the build.
@@ -519,11 +477,8 @@ impl<'a> AuditContext<'a> {
                 }
             }
         }
-        let parallelism = Self::parallelism_for(config.threads);
-        let shard_plan = config
-            .shards
-            .plan(rows, parallelism)
-            .map(|plan| ShardPlan::new_aligned(rows, plan.shards(), PAGE_ALIGN_ROWS));
+        let shards = ShardPlan::auto(rows, Self::parallelism_for(config.threads)).shards();
+        let shard_plan = ShardPlan::new_aligned(rows, shards, PAGE_ALIGN_ROWS);
         let shard_counters = ShardCounters::default();
         let (bin_of, bin8) = Self::classify_paged(store, &spec, live.as_ref(), &shard_counters)?;
         let indexes = Arc::new(Self::index_paged(
@@ -833,9 +788,9 @@ impl<'a> AuditContext<'a> {
         self.epoch
     }
 
-    /// The resolved shard layout, when sharding is enabled.
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shard_plan.as_ref()
+    /// The context's row-range shard layout.
+    pub fn shard_plan(&self) -> &ShardPlan {
+        &self.shard_plan
     }
 
     /// Per-shard kernel executions dispatched so far (layout-dependent:
@@ -845,8 +800,7 @@ impl<'a> AuditContext<'a> {
     }
 
     /// Rows pushed through the sharded classify/split kernels so far
-    /// (0 when sharding is disabled; otherwise independent of both the
-    /// shard count and the thread count).
+    /// (independent of both the shard count and the thread count).
     pub fn rows_classified_parallel(&self) -> u64 {
         self.shard_counters
             .rows_classified_parallel
@@ -889,48 +843,43 @@ impl<'a> AuditContext<'a> {
     /// Runs the single-pass split kernel: one walk over the partition's
     /// rows produces all child row sets and child histograms at once
     /// (O(|partition|) instead of the legacy O(table) posting
-    /// intersections — see [`AuditContext::split_legacy`]). With
-    /// sharding enabled the walk runs as one two-pass task per shard —
-    /// on the worker pool for large partitions — merged in shard order,
-    /// which is bit-identical to the serial kernel.
+    /// intersections — see [`AuditContext::split_legacy`]). On large
+    /// partitions with a thread budget above one, the walk runs as one
+    /// two-pass task per shard on the worker pool, merged in shard
+    /// order, which is bit-identical to the serial kernel.
     pub fn split(&self, part: &Partition, attr: usize) -> Option<Vec<Partition>> {
         if part.predicate.constrains(attr) {
             return None;
         }
         let index = self.indexes.get(attr)?;
         let bins = self.spec.len();
-        let groups = match &self.shard_plan {
-            None => index.split_with_bins(&part.rows, &self.bin_of, bins),
-            Some(plan) => {
-                self.shard_counters.note(plan.shards(), part.rows.len());
-                let parallelism = Self::parallelism_for(self.threads);
-                if part.rows.len() == self.rows() {
-                    // Root split: the children's row sets are exactly
-                    // the index postings — only bin counting remains.
-                    match &self.bin8 {
-                        Some(bin8) => index.split_full_with_bins8(bin8, bins),
-                        None => index.split_full_with_bins(&self.bin_of, bins),
-                    }
-                } else if part.rows.len() >= SHARD_DISPATCH_MIN_ROWS && parallelism > 1 {
-                    let sharded = plan.shard_rows(&part.rows);
-                    let partials =
-                        WorkerPool::global().run_chunks(parallelism, sharded.shards(), |s| {
-                            index.split_shard(sharded.shard(s), &self.bin_of, bins)
-                        });
-                    CategoricalIndex::merge_shard_splits(partials, bins)
-                } else {
-                    // Serial execution: the one-pass byte kernel when
-                    // the layout fits (narrow forward column + narrow
-                    // bin array), else the same two-pass kernel over
-                    // the whole row slice — bit-identical either way.
-                    self.bin8
-                        .as_ref()
-                        .and_then(|bin8| index.split_onepass(part.rows.rows(), bin8, bins))
-                        .unwrap_or_else(|| {
-                            index.split_with_bins_two_pass(part.rows.rows(), &self.bin_of, bins)
-                        })
-                }
+        let plan = &self.shard_plan;
+        self.shard_counters.note(plan.shards(), part.rows.len());
+        let parallelism = Self::parallelism_for(self.threads);
+        let groups = if part.rows.len() == self.rows() {
+            // Root split: the children's row sets are exactly the index
+            // postings — only bin counting remains.
+            match &self.bin8 {
+                Some(bin8) => index.split_full_with_bins8(bin8, bins),
+                None => index.split_full_with_bins(&self.bin_of, bins),
             }
+        } else if part.rows.len() >= SHARD_DISPATCH_MIN_ROWS && parallelism > 1 {
+            let sharded = plan.shard_rows(&part.rows);
+            let partials = WorkerPool::global().run_chunks(parallelism, sharded.shards(), |s| {
+                index.split_shard(sharded.shard(s), &self.bin_of, bins)
+            });
+            CategoricalIndex::merge_shard_splits(partials, bins)
+        } else {
+            // Serial execution: the one-pass byte kernel when the layout
+            // fits (narrow forward column + narrow bin array), else the
+            // same two-pass kernel over the whole row slice —
+            // bit-identical either way.
+            self.bin8
+                .as_ref()
+                .and_then(|bin8| index.split_onepass(part.rows.rows(), bin8, bins))
+                .unwrap_or_else(|| {
+                    index.split_with_bins_two_pass(part.rows.rows(), &self.bin_of, bins)
+                })
         };
         if groups.len() <= 1 {
             return None;
@@ -955,9 +904,9 @@ impl<'a> AuditContext<'a> {
 
     /// The legacy split path: per-code posting intersections followed by
     /// a histogram build per child. Semantically identical to
-    /// [`AuditContext::split`]; kept as the kernel's differential-test
-    /// oracle and as the baseline the `split_search` bench measures
-    /// against.
+    /// [`AuditContext::split`]. No production caller: kept as the
+    /// kernel's differential-test oracle and as the baseline the
+    /// `split_search` bench measures against.
     pub fn split_legacy(&self, part: &Partition, attr: usize) -> Option<Vec<Partition>> {
         if part.predicate.constrains(attr) {
             return None;
@@ -1087,6 +1036,16 @@ mod tests {
         // Zero bins.
         let err = AuditContext::new(&t, &scores, AuditConfig::with_bins(0)).unwrap_err();
         assert!(matches!(err, AuditError::Bins(_)));
+        // A bad score outranks a bad bin count and a bad attribute.
+        bad[0] = 1.5;
+        let err = AuditContext::new(&t, &bad, AuditConfig::with_bins(0)).unwrap_err();
+        assert!(matches!(err, AuditError::BadScore { row: 0, .. }));
+        let cfg = AuditConfig {
+            attributes: Some(vec!["nope".into()]),
+            ..Default::default()
+        };
+        let err = AuditContext::new(&t, &bad, cfg).unwrap_err();
+        assert!(matches!(err, AuditError::BadScore { row: 0, .. }));
     }
 
     #[test]

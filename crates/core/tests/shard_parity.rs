@@ -1,10 +1,12 @@
 //! Shard-layout parity: an audit's result — unfairness bits,
 //! partitioning shape, and every layout-independent engine counter —
-//! must not depend on the shard policy or the thread count. The sharded
-//! kernels (per-shard split/classify merged in serial shard order) are
-//! defined to be bit-identical to the legacy scalar path; this suite
-//! holds them to it across shard counts {1, 2, 3, 7, auto} × thread
-//! counts {1, 2, 8}, against the `shards = off` baseline.
+//! must not depend on the thread count, nor on the shard layout the
+//! context derives from it. The sharded kernels (per-shard
+//! split/classify merged in serial shard order) are defined to be
+//! bit-identical to the serial reference kernels; this suite holds
+//! them to it across thread counts {1, 2, 8} against the 1-thread run,
+//! and on a population large enough to take the pool-dispatched split
+//! and parallel classification.
 
 use fairjob_core::algorithms::{
     balanced::Balanced, unbalanced::Unbalanced, Algorithm, AttributeChoice,
@@ -12,7 +14,8 @@ use fairjob_core::algorithms::{
 use fairjob_core::{AuditConfig, AuditContext, AuditResult, EngineStats};
 use fairjob_marketplace::scoring::{LinearScore, RuleBasedScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
-use fairjob_store::ShardPolicy;
+use fairjob_store::paged::write_paged;
+use fairjob_store::PagedStore;
 use proptest::prelude::*;
 
 fn population(size: usize, seed: u64, rule: bool) -> (fairjob_store::table::Table, Vec<f64>) {
@@ -26,19 +29,20 @@ fn population(size: usize, seed: u64, rule: bool) -> (fairjob_store::table::Tabl
     (workers, scores)
 }
 
+fn config(threads: usize) -> AuditConfig {
+    AuditConfig {
+        threads: Some(threads),
+        ..AuditConfig::default()
+    }
+}
+
 fn run(
     workers: &fairjob_store::table::Table,
     scores: &[f64],
-    shards: ShardPolicy,
     threads: usize,
     balanced: bool,
 ) -> AuditResult {
-    let config = AuditConfig {
-        shards,
-        threads: Some(threads),
-        ..AuditConfig::default()
-    };
-    let ctx = AuditContext::new(workers, scores, config).unwrap();
+    let ctx = AuditContext::new(workers, scores, config(threads)).unwrap();
     if balanced {
         Balanced::new(AttributeChoice::Worst).run(&ctx).unwrap()
     } else {
@@ -46,21 +50,26 @@ fn run(
     }
 }
 
-/// The counters defined to be independent of the shard layout: every
-/// `EngineStats` counter except the two shard-work meters.
+/// The counters defined to be independent of the shard layout and the
+/// storage path: every `EngineStats` counter except the two shard-work
+/// meters and the page-cache meters (always zero in memory).
 fn layout_independent(stats: &EngineStats) -> Vec<(&'static str, u64)> {
     stats
         .as_pairs()
         .into_iter()
-        .filter(|(name, _)| *name != "shard_tasks" && *name != "rows_classified_parallel")
+        .filter(|(name, _)| {
+            *name != "shard_tasks"
+                && *name != "rows_classified_parallel"
+                && !name.starts_with("page")
+        })
         .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every shard policy × thread count reproduces the `shards = off`
-    /// single-thread baseline bit for bit, counters included.
+    /// Every thread count reproduces the single-thread run bit for bit,
+    /// counters included.
     #[test]
     fn audits_are_bit_identical_across_shard_layouts(
         size in 80usize..260,
@@ -68,72 +77,78 @@ proptest! {
     ) {
         let balanced = seed % 2 == 0;
         let (workers, scores) = population(size, seed, !balanced);
-        let baseline = run(&workers, &scores, ShardPolicy::Disabled, 1, balanced);
-        prop_assert_eq!(baseline.engine.shard_tasks, 0);
-        prop_assert_eq!(baseline.engine.rows_classified_parallel, 0);
-        let policies = [
-            ShardPolicy::Fixed(1),
-            ShardPolicy::Fixed(2),
-            ShardPolicy::Fixed(3),
-            ShardPolicy::Fixed(7),
-            ShardPolicy::Auto,
-        ];
-        // `rows_classified_parallel` must agree across every *enabled*
-        // layout (it meters rows, not shards); collect to cross-check.
-        let mut rows_metered: Vec<u64> = Vec::new();
-        for shards in policies {
-            for threads in [1usize, 2, 8] {
-                let got = run(&workers, &scores, shards, threads, balanced);
-                prop_assert_eq!(
-                    got.unfairness.to_bits(),
-                    baseline.unfairness.to_bits(),
-                    "shards={} threads={}: {} vs baseline {}",
-                    shards, threads, got.unfairness, baseline.unfairness
-                );
-                prop_assert_eq!(got.partitioning.len(), baseline.partitioning.len());
-                prop_assert_eq!(
-                    layout_independent(&got.engine),
-                    layout_independent(&baseline.engine),
-                    "layout-independent counters diverged at shards={} threads={}",
-                    shards, threads
-                );
-                prop_assert!(
-                    got.engine.rows_classified_parallel > 0,
-                    "sharded run metered no rows (shards={shards})"
-                );
-                rows_metered.push(got.engine.rows_classified_parallel);
-            }
+        let baseline = run(&workers, &scores, 1, balanced);
+        prop_assert!(baseline.engine.shard_tasks > 0);
+        prop_assert!(baseline.engine.rows_classified_parallel > 0);
+        for threads in [2usize, 8] {
+            let got = run(&workers, &scores, threads, balanced);
+            prop_assert_eq!(
+                got.unfairness.to_bits(),
+                baseline.unfairness.to_bits(),
+                "threads={}: {} vs baseline {}",
+                threads, got.unfairness, baseline.unfairness
+            );
+            prop_assert_eq!(got.partitioning.len(), baseline.partitioning.len());
+            prop_assert_eq!(
+                layout_independent(&got.engine),
+                layout_independent(&baseline.engine),
+                "layout-independent counters diverged at threads={}",
+                threads
+            );
+            // Below one shard granule per thread slot the derived
+            // layout, and so the shard work, is the same at every
+            // thread count.
+            prop_assert_eq!(got.engine.shard_tasks, baseline.engine.shard_tasks);
+            prop_assert_eq!(
+                got.engine.rows_classified_parallel,
+                baseline.engine.rows_classified_parallel
+            );
         }
-        prop_assert!(
-            rows_metered.iter().all(|&r| r == rows_metered[0]),
-            "rows_classified_parallel is layout-dependent: {rows_metered:?}"
-        );
     }
+}
 
-    /// `shard_tasks` is layout-dependent by definition but must be
-    /// thread-count independent: the same shard count dispatches the
-    /// same kernels no matter how many workers execute them.
-    #[test]
-    fn shard_tasks_do_not_depend_on_thread_count(
-        size in 80usize..200,
-        seed in 0u64..1_000,
-    ) {
-        let (workers, scores) = population(size, seed, false);
-        for shards in [ShardPolicy::Fixed(2), ShardPolicy::Fixed(7)] {
-            let reference = run(&workers, &scores, shards, 1, true);
-            prop_assert!(reference.engine.shard_tasks > 0);
-            for threads in [2usize, 8] {
-                let got = run(&workers, &scores, shards, threads, true);
-                prop_assert_eq!(
-                    got.engine.shard_tasks,
-                    reference.engine.shard_tasks,
-                    "shards={} threads={}", shards, threads
-                );
-                prop_assert_eq!(
-                    got.engine.rows_classified_parallel,
-                    reference.engine.rows_classified_parallel
-                );
+/// The split and classification paths that only run on large inputs
+/// with more than one thread — per-shard tasks on the worker pool,
+/// merged in shard order — give the same answers as one thread, in
+/// memory and off a paged store, and agree with the legacy split on
+/// the root and on its children. At 150k rows each `gender` child holds
+/// about half, above the 65 536-row floor for pool dispatch.
+#[test]
+fn large_partitions_take_the_pool_dispatched_kernels() {
+    let (workers, scores) = population(150_000, 3, false);
+    let path = std::env::temp_dir().join(format!("fairjob-shard-{}.fjp", std::process::id()));
+    write_paged(&path, &workers, Some(&scores), None, 0, 10).unwrap();
+    let store = PagedStore::open(&path, 1 << 30).unwrap();
+    let attr = |name: &str| workers.schema().index_of(name).unwrap();
+    let (gender, country) = (attr("gender"), attr("country"));
+    let mut baseline: Option<AuditResult> = None;
+    for threads in [1usize, 2, 4] {
+        let config = || AuditConfig {
+            attributes: Some(vec!["gender".into(), "country".into()]),
+            ..config(threads)
+        };
+        let mem = AuditContext::new(&workers, &scores, config()).unwrap();
+        let paged = AuditContext::from_paged(&store, config(), None, None).unwrap();
+        for ctx in [&mem, &paged] {
+            let root = ctx.root();
+            let children = ctx.split(&root, gender).unwrap();
+            assert_eq!(Some(children.clone()), ctx.split_legacy(&root, gender));
+            for child in &children {
+                assert!(child.len() >= 65_536);
+                assert_eq!(ctx.split(child, country), ctx.split_legacy(child, country));
             }
+            let got = Balanced::new(AttributeChoice::Worst).run(ctx).unwrap();
+            let base = baseline.get_or_insert_with(|| got.clone());
+            assert_eq!(got.unfairness.to_bits(), base.unfairness.to_bits());
+            assert_eq!(
+                got.partitioning.partitions(),
+                base.partitioning.partitions()
+            );
+            assert_eq!(
+                layout_independent(&got.engine),
+                layout_independent(&base.engine)
+            );
         }
     }
+    let _ = std::fs::remove_file(&path);
 }

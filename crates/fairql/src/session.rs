@@ -33,7 +33,7 @@ use fairjob_hist::BinSpec;
 use fairjob_store::column::Column;
 use fairjob_store::index::IndexSet;
 use fairjob_store::stats::{cardinality_present, summarise, ColumnSummary};
-use fairjob_store::{PagedStore, RowSet, Schema, ShardPolicy, Table};
+use fairjob_store::{PagedStore, RowSet, Schema, Table};
 use fairjob_stream::StreamSnapshot;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -129,10 +129,6 @@ pub struct Defaults {
     pub threads: Option<usize>,
     /// Minimum split-child size.
     pub min_partition_size: usize,
-    /// Shard layout for the context's split/classify kernels. Results
-    /// are bit-identical under every policy, so — like `threads` — it
-    /// is not part of [`CacheKey`].
-    pub shards: ShardPolicy,
 }
 
 impl Default for Defaults {
@@ -147,7 +143,6 @@ impl Default for Defaults {
             seed: 0xBEEF,
             threads: config.threads,
             min_partition_size: config.min_partition_size,
-            shards: config.shards,
         }
     }
 }
@@ -299,7 +294,6 @@ impl<'a> Session<'a> {
                 .to_string(),
             bins: self.defaults.bins,
             threads: self.defaults.threads,
-            shards: self.defaults.shards,
         };
         plan(&logical, &catalog, &defaults, self.options)
     }
@@ -502,7 +496,6 @@ impl<'a> Session<'a> {
             attributes: audit.attributes.clone(),
             min_partition_size: self.defaults.min_partition_size,
             threads: self.defaults.threads,
-            shards: self.defaults.shards,
         };
 
         let trivial = scan.filter.is_always();

@@ -6,7 +6,6 @@ use fairjob_fairql::ast::{AuditStmt, Condition, Ident, SelectItem, SelectStmt, S
 use fairjob_fairql::{parse, Defaults, QueryOutput, Session, Source, Value};
 use fairjob_marketplace::scoring::{LinearScore, ScoringFunction};
 use fairjob_marketplace::{bucketise_numeric_protected, generate_uniform};
-use fairjob_store::ShardPolicy;
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 use rand::rngs::StdRng;
@@ -211,26 +210,21 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Shard-layout parity through the whole query pipeline: EXPLAIN ANALYZE
-// must report identical actual counters under every shard policy, save
-// for the two shard-work meters (which are layout-dependent by
-// definition) and the plan's own `shards=` label.
+// must report identical actual counters at every thread count (each
+// thread budget derives its own shard layout), save for the two
+// shard-work meters (which are layout-dependent by definition) and the
+// plan's own `threads=` label.
 // ---------------------------------------------------------------------
 
 /// Run EXPLAIN ANALYZE and strip the tokens allowed to differ between
-/// shard layouts (the `shards=`/`threads=` plan labels and the two
-/// shard-work counters) or between any two runs (`elapsed_us=`).
-fn explain_analyze_lines(
-    query: &str,
-    size: usize,
-    shards: ShardPolicy,
-    threads: usize,
-) -> Vec<String> {
+/// shard layouts (the `threads=` plan label and the two shard-work
+/// counters) or between any two runs (`elapsed_us=`).
+fn explain_analyze_lines(query: &str, size: usize, threads: usize) -> Vec<String> {
     let mut table = generate_uniform(size, 23);
     bucketise_numeric_protected(&mut table).unwrap();
     let scores = LinearScore::alpha("f1", 0.5).score_all(&table).unwrap();
     let defaults = Defaults {
         threads: Some(threads),
-        shards,
         ..Defaults::default()
     };
     let mut session = Session::new(
@@ -246,7 +240,6 @@ fn explain_analyze_lines(
         panic!("expected one EXPLAIN output");
     };
     const VARIABLE: &[&str] = &[
-        "shards=",
         "threads=",
         "shard_tasks=",
         "rows_classified_parallel=",
@@ -266,8 +259,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// EXPLAIN ANALYZE counter parity: every actual counter except the
-    /// shard-work meters is identical across shard policies and thread
-    /// counts.
+    /// shard-work meters is identical across thread counts.
     #[test]
     fn explain_analyze_counters_are_shard_layout_independent(
         size in 120usize..240,
@@ -277,15 +269,13 @@ proptest! {
             0 => "EXPLAIN ANALYZE AUDIT workers PROTECT gender, country",
             _ => "EXPLAIN ANALYZE AUDIT workers WHERE country = 'India' BINS 8",
         };
-        let baseline = explain_analyze_lines(query, size, ShardPolicy::Disabled, 1);
-        for shards in [ShardPolicy::Fixed(1), ShardPolicy::Fixed(3), ShardPolicy::Fixed(7), ShardPolicy::Auto] {
-            for threads in [1usize, 2, 8] {
-                let other = explain_analyze_lines(query, size, shards, threads);
-                prop_assert_eq!(
-                    &baseline, &other,
-                    "EXPLAIN ANALYZE diverged at shards={} threads={}", shards, threads
-                );
-            }
+        let baseline = explain_analyze_lines(query, size, 1);
+        for threads in [2usize, 8] {
+            let other = explain_analyze_lines(query, size, threads);
+            prop_assert_eq!(
+                &baseline, &other,
+                "EXPLAIN ANALYZE diverged at threads={}", threads
+            );
         }
     }
 }

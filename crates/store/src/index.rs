@@ -38,9 +38,9 @@ pub struct CategoricalIndex {
     /// (`codes` stays empty then). Split walks are bandwidth bound, so
     /// reading 1 byte per row instead of 4 is the single biggest kernel
     /// lever — and not materialising the wide copy at all saves the
-    /// build its largest allocation. `None` on legacy-built indexes
-    /// (the `shards = off` baseline keeps the original kernels and
-    /// memory layout).
+    /// build its largest allocation. `None` on push-built indexes
+    /// ([`CategoricalIndex::build`], which the stream view maintains in
+    /// place through the wide column).
     codes8: Option<Vec<u8>>,
 }
 
@@ -252,6 +252,12 @@ impl CategoricalIndex {
     ///
     /// Equivalent to [`CategoricalIndex::split`] plus one histogram
     /// build per child, at O(|within|) instead of O(table) cost.
+    ///
+    /// No production caller: the audit context splits through the
+    /// sharded kernels ([`CategoricalIndex::split_onepass`],
+    /// [`CategoricalIndex::split_with_bins_two_pass`], the shard merge).
+    /// This is the serial reference they are tested against, and the
+    /// scalar replay the `shard_scale` bench gates against.
     ///
     /// # Panics
     ///
@@ -471,9 +477,9 @@ impl CategoricalIndex {
 
     /// Sharded split: slice `within` by the plan's row ranges, classify
     /// each shard with [`CategoricalIndex::split_shard`], merge in shard
-    /// order. The serial reference for the pool-dispatched path in
-    /// `fairjob-core`; output is bit-identical to
-    /// [`CategoricalIndex::split_with_bins`].
+    /// order. A test oracle with no production caller: the serial
+    /// reference for the pool-dispatched path in `fairjob-core`; output
+    /// is bit-identical to [`CategoricalIndex::split_with_bins`].
     pub fn split_with_bins_sharded(
         &self,
         within: &RowSet,
@@ -594,9 +600,10 @@ impl CategoricalIndex {
     /// capacity goes unused (untouched tail pages are never faulted),
     /// and [`ONEPASS_MAX_CARDINALITY`] bounds the reservation count.
     ///
-    /// Returns `None` when this index carries no byte column (legacy
-    /// build, or cardinality > 256/`ONEPASS_MAX_CARDINALITY`) or when
-    /// `bins > 256` would not fit `bin8` — callers fall back to
+    /// Returns `None` when this index carries no byte column (built by
+    /// [`CategoricalIndex::build`], or cardinality >
+    /// 256/`ONEPASS_MAX_CARDINALITY`) or when `bins > 256` would not
+    /// fit `bin8` — callers fall back to
     /// [`CategoricalIndex::split_with_bins_two_pass`]. The output is
     /// bit-identical to [`CategoricalIndex::split_with_bins`]: rows keep
     /// parent order and bin counts are integers converted once.
@@ -721,17 +728,6 @@ impl IndexSet {
             indexes[attr] = Some(CategoricalIndex::build(table, attr)?);
         }
         Ok(IndexSet { indexes })
-    }
-
-    /// Build indexes for all splittable attributes with the two-pass
-    /// sharded kernel ([`CategoricalIndex::build_sharded`]). Identical
-    /// output to [`IndexSet::build`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexSet::build`].
-    pub fn build_sharded(table: &Table, plan: &ShardPlan) -> Result<Self, StoreError> {
-        Self::build_sharded_subset(table, &table.schema().splittable(), plan)
     }
 
     /// Build indexes for `attrs` only, with the two-pass sharded
@@ -1052,7 +1048,7 @@ mod tests {
         let t = table();
         for shards in [1usize, 2, 3, 7] {
             let plan = ShardPlan::new(t.len(), shards);
-            let sharded = IndexSet::build_sharded(&t, &plan).unwrap();
+            let sharded = IndexSet::build_sharded_subset(&t, &[0, 1], &plan).unwrap();
             let legacy = IndexSet::build(&t).unwrap();
             for (attr, cardinality) in [(0usize, 2u32), (1, 3)] {
                 let a = sharded.get(attr).unwrap();

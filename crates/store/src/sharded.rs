@@ -20,69 +20,15 @@
 use crate::RowSet;
 use std::ops::Range;
 
-/// Row-count granule the auto policy aims at per shard: small enough to
-/// expose parallelism on large audits, large enough that per-shard
-/// bookkeeping (one count array per code) stays negligible.
+/// Row-count granule [`ShardPlan::auto`] aims at per shard: small
+/// enough to expose parallelism on large audits, large enough that
+/// per-shard bookkeeping (one count array per code) stays negligible.
 pub const AUTO_ROWS_PER_SHARD: usize = 65_536;
 
-/// Upper bound the auto policy puts on the shard count, as a multiple
-/// of the advertised parallelism (over-subscription evens out skewed
+/// Upper bound [`ShardPlan::auto`] puts on the shard count, as a
+/// multiple of the thread budget (over-subscription evens out skewed
 /// shards without drowning the pool in tiny tasks).
 pub const AUTO_OVERSUBSCRIPTION: usize = 4;
-
-/// How a store consumer wants its row-parallel kernels sharded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ShardPolicy {
-    /// Pick a shard count from the row count and available parallelism
-    /// (the default).
-    #[default]
-    Auto,
-    /// Exactly this many shards (clamped to the row count).
-    Fixed(usize),
-    /// No sharding: run the legacy scalar kernels unchanged. This is
-    /// the baseline the `shard_scale` bench gates against.
-    Disabled,
-}
-
-impl ShardPolicy {
-    /// Resolve the policy into a plan over `n_rows` rows, or `None`
-    /// when sharding is disabled. `parallelism` is the caller's thread
-    /// budget (only consulted by [`ShardPolicy::Auto`]).
-    pub fn plan(self, n_rows: usize, parallelism: usize) -> Option<ShardPlan> {
-        match self {
-            ShardPolicy::Disabled => None,
-            ShardPolicy::Fixed(shards) => Some(ShardPlan::new(n_rows, shards)),
-            ShardPolicy::Auto => {
-                let want = n_rows.div_ceil(AUTO_ROWS_PER_SHARD).max(1);
-                let cap = parallelism.max(1) * AUTO_OVERSUBSCRIPTION;
-                Some(ShardPlan::new(n_rows, want.min(cap)))
-            }
-        }
-    }
-
-    /// Parse the CLI / FairQL surface form: `auto`, `off`, or a count.
-    pub fn parse(text: &str) -> Option<ShardPolicy> {
-        match text {
-            "auto" => Some(ShardPolicy::Auto),
-            "off" | "disabled" | "0" => Some(ShardPolicy::Disabled),
-            n => n
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .map(ShardPolicy::Fixed),
-        }
-    }
-}
-
-impl std::fmt::Display for ShardPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardPolicy::Auto => write!(f, "auto"),
-            ShardPolicy::Fixed(n) => write!(f, "{n}"),
-            ShardPolicy::Disabled => write!(f, "off"),
-        }
-    }
-}
 
 /// Fixed row-range shards over row ids `0..n_rows`.
 ///
@@ -114,6 +60,16 @@ impl ShardPlan {
         }
         debug_assert_eq!(at, n_rows);
         ShardPlan { n_rows, bounds }
+    }
+
+    /// The layout every audit context uses: one shard per
+    /// [`AUTO_ROWS_PER_SHARD`] rows, capped at
+    /// [`AUTO_OVERSUBSCRIPTION`] × `parallelism` (the caller's thread
+    /// budget).
+    pub fn auto(n_rows: usize, parallelism: usize) -> Self {
+        let want = n_rows.div_ceil(AUTO_ROWS_PER_SHARD).max(1);
+        let cap = parallelism.max(1) * AUTO_OVERSUBSCRIPTION;
+        ShardPlan::new(n_rows, want.min(cap))
     }
 
     /// Plan up to `shards` row ranges whose **interior boundaries fall
@@ -251,24 +207,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_resolution() {
-        assert!(ShardPolicy::Disabled.plan(100, 4).is_none());
-        assert_eq!(ShardPolicy::Fixed(3).plan(100, 1).unwrap().shards(), 3);
-        // Auto: one shard per granule, capped by parallelism.
-        let auto = ShardPolicy::Auto.plan(AUTO_ROWS_PER_SHARD * 10, 2).unwrap();
+    fn auto_plan_scales_with_rows_and_caps_at_the_thread_budget() {
+        // One shard per granule, capped by parallelism.
+        let auto = ShardPlan::auto(AUTO_ROWS_PER_SHARD * 10, 2);
         assert_eq!(auto.shards(), 2 * AUTO_OVERSUBSCRIPTION);
-        assert_eq!(ShardPolicy::Auto.plan(100, 8).unwrap().shards(), 1);
-    }
-
-    #[test]
-    fn policy_parses_surface_forms() {
-        assert_eq!(ShardPolicy::parse("auto"), Some(ShardPolicy::Auto));
-        assert_eq!(ShardPolicy::parse("off"), Some(ShardPolicy::Disabled));
-        assert_eq!(ShardPolicy::parse("0"), Some(ShardPolicy::Disabled));
-        assert_eq!(ShardPolicy::parse("5"), Some(ShardPolicy::Fixed(5)));
-        assert_eq!(ShardPolicy::parse("nope"), None);
-        assert_eq!(ShardPolicy::Auto.to_string(), "auto");
-        assert_eq!(ShardPolicy::Fixed(5).to_string(), "5");
-        assert_eq!(ShardPolicy::Disabled.to_string(), "off");
+        assert_eq!(ShardPlan::auto(AUTO_ROWS_PER_SHARD * 3 + 1, 8).shards(), 4);
+        assert_eq!(ShardPlan::auto(100, 8).shards(), 1);
+        assert_eq!(ShardPlan::auto(100, 0).shards(), 1);
     }
 }
