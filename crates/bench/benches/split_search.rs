@@ -122,8 +122,10 @@ fn engine_search(engine: &EvalEngine<'_, '_>, w: &Workload<'_>) -> Vec<Arc<Parti
 }
 
 /// The counter/parity contract, asserted once with real workloads before
-/// any timing runs.
-fn assert_split_contract(w: &Workload<'_>) {
+/// any timing runs. `fresh` rebuilds the workload on a new context: the
+/// shard counters are context-cumulative, so each thread count gets its
+/// own context with the same history as `w`'s.
+fn assert_split_contract<'a>(w: &Workload<'a>, fresh: impl Fn() -> Workload<'a>) {
     let (naive_parts, naive_splits, naive_rows) = naive_search(w);
     let naive_value = w.ctx.unfairness(&naive_parts).expect("naive eval");
 
@@ -154,8 +156,9 @@ fn assert_split_contract(w: &Workload<'_>) {
 
     // Bit-identical results and counters for every worker-thread count.
     for threads in [2usize, 3, 8] {
-        let parallel = EvalEngine::new(&w.ctx).with_threads(threads);
-        let parts = engine_search(&parallel, w);
+        let fresh = fresh();
+        let parallel = EvalEngine::new(&fresh.ctx).with_threads(threads);
+        let parts = engine_search(&parallel, &fresh);
         assert_eq!(
             parallel.stats(),
             stats,
@@ -188,7 +191,7 @@ fn bench_split_search(c: &mut Criterion) {
         .score_all(&workers)
         .expect("scores");
     let w = workload(&workers, &scores);
-    assert_split_contract(&w);
+    assert_split_contract(&w, || workload(&workers, &scores));
 
     let mut group = c.benchmark_group("split_search");
     group.sample_size(10);

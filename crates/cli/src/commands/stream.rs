@@ -35,17 +35,14 @@ fn render_epoch(report: &EpochReport, initial: bool, checked: bool) -> String {
             report.invalidation.splits_retained,
         )
     };
+    // Counters come from `EngineStats::as_pairs`, as in the audit
+    // report's JSON, so a counter added to the struct appears here too.
+    out.push_str("\n  engine:");
+    for (name, value) in report.audit.engine.as_pairs() {
+        out.push_str(&format!(" {name}={value}"));
+    }
     out.push_str(&format!(
-        "\n  engine: {} distances computed, {} cache hits, {} rows scanned\n  bounds: {} pairs screened, {} exact solves, {} pool tasks\n  solver: {} ground cache hits, {} scratch reuses, {} warm starts\n  unfairness {:.6} over {} partitions\n",
-        report.audit.engine.distances_computed,
-        report.audit.engine.cache_hits,
-        report.audit.engine.rows_scanned,
-        report.audit.engine.bounds_screened,
-        report.audit.engine.exact_solves,
-        report.audit.engine.pool_tasks,
-        report.audit.engine.ground_cache_hits,
-        report.audit.engine.scratch_reuses,
-        report.audit.engine.warm_starts,
+        "\n  unfairness {:.6} over {} partitions\n",
         report.audit.unfairness,
         report.audit.partitioning.partitions().len(),
     ));
@@ -56,10 +53,17 @@ fn render_epoch(report: &EpochReport, initial: bool, checked: bool) -> String {
 }
 
 fn json_epoch(report: &EpochReport) -> String {
+    let engine: Vec<String> = report
+        .audit
+        .engine
+        .as_pairs()
+        .iter()
+        .map(|(name, value)| format!("\"{name}\":{value}"))
+        .collect();
     format!(
         "{{\"epoch\":{},\"events\":{},\"changes\":{},\"live\":{},\"unfairness\":{},\"partitions\":{},\
 \"invalidation\":{{\"distances_evicted\":{},\"distances_retained\":{},\"splits_evicted\":{},\"splits_patched\":{},\"splits_retained\":{}}},\
-\"engine\":{{\"distances_computed\":{},\"cache_hits\":{},\"rows_scanned\":{},\"bounds_screened\":{},\"exact_solves\":{},\"pool_tasks\":{},\"ground_cache_hits\":{},\"scratch_reuses\":{},\"warm_starts\":{}}}}}",
+\"engine\":{{{}}}}}",
         report.epoch,
         report.events,
         report.changes,
@@ -71,15 +75,7 @@ fn json_epoch(report: &EpochReport) -> String {
         report.invalidation.splits_evicted,
         report.invalidation.splits_patched,
         report.invalidation.splits_retained,
-        report.audit.engine.distances_computed,
-        report.audit.engine.cache_hits,
-        report.audit.engine.rows_scanned,
-        report.audit.engine.bounds_screened,
-        report.audit.engine.exact_solves,
-        report.audit.engine.pool_tasks,
-        report.audit.engine.ground_cache_hits,
-        report.audit.engine.scratch_reuses,
-        report.audit.engine.warm_starts,
+        engine.join(","),
     )
 }
 
@@ -232,8 +228,11 @@ mod tests {
         assert!(out.contains("epoch 0 (initial): live 90"));
         assert!(out.contains("epoch 3:"));
         assert!(out.contains("invalidation: distances"));
-        assert!(out.contains("solver: "));
-        assert!(out.contains("ground cache hits"));
+        // Every counter is rendered, by its `EngineStats::as_pairs` name.
+        for (name, _) in fairjob_core::EngineStats::default().as_pairs() {
+            assert_eq!(out.matches(&format!(" {name}=")).count(), 4, "{name}");
+        }
+        assert!(out.contains(" cache_hits=0 "), "emd pairs skip the memo");
         assert_eq!(out.matches("cold check: ok").count(), 4);
         assert!(out.contains("final:"));
     }
@@ -257,9 +256,11 @@ mod tests {
         assert!(out.contains("\"cold_checked\":false"));
         assert!(out.contains("\"epoch\":2"));
         assert!(out.contains("\"invalidation\":{\"distances_evicted\":"));
-        assert!(out.contains("\"ground_cache_hits\":"));
-        assert!(out.contains("\"scratch_reuses\":"));
-        assert!(out.contains("\"warm_starts\":"));
+        // The `engine` object of each epoch (initial, 1, 2) carries every
+        // counter, by its `EngineStats::as_pairs` name.
+        for (name, _) in fairjob_core::EngineStats::default().as_pairs() {
+            assert_eq!(out.matches(&format!("\"{name}\":")).count(), 3, "{name}");
+        }
     }
 
     #[test]

@@ -12,6 +12,19 @@
 //!
 //! [`EvalEngine`] fixes this at four levels:
 //!
+//! 0. **Closed-form path** — when the distance *is* a CDF-L1 closed form
+//!    on the context's bin layout
+//!    ([`fairjob_hist::HistogramDistance::closed_form`],
+//!    e.g. the default `emd`), decided once when the engine is built,
+//!    every pair is evaluated straight from the two histograms'
+//!    prefix-CDF rows ([`ClosedForm`]): about ten subtractions, with no
+//!    memo probe, registry entry or solver scratch. Full evaluations run
+//!    one serial dense loop over a flat row arena in (i, j) pair order,
+//!    and [`IncrementalEval`]'s averager keeps its own row arena. Each
+//!    value is bit-identical to the memo path's. Such pairs are counted
+//!    in [`EngineStats::closed_form`]; the levels below serve every other
+//!    distance (`emd-exact`, `emd-thresholded`, tv, ks, jsd, …), whose
+//!    solves are expensive enough for the memo to pay.
 //! 1. **Memo cache** — every computed distance is cached under the
 //!    ordered pair of the partitions' predicate fingerprints
 //!    ([`fairjob_store::Predicate::fingerprint`]). Fingerprints are
@@ -23,9 +36,10 @@
 //!    [`PairwiseAverager`] over the current partitioning and scores
 //!    "replace partition p by its children" hypotheticals at
 //!    O(k · changed) distances instead of O(k²), reverting afterwards at
-//!    zero additional distance computations (the revert re-looks-up
-//!    distances that were just cached).
-//! 3. **Parallel path** — full evaluations over at least
+//!    zero additional distance computations on the memo path (the revert
+//!    re-looks-up distances that were just cached; the closed-form path
+//!    re-evaluates them from rows).
+//! 3. **Parallel path** — memo-path full evaluations over at least
 //!    [`EvalEngine::with_parallel_threshold`] live partitions classify
 //!    cache hits serially, compute the misses in fixed-size chunks on
 //!    the persistent worker pool ([`crate::pool::WorkerPool`] — spawned
@@ -34,8 +48,8 @@
 //!    the thread count. A distance error in a worker propagates as
 //!    [`AuditError::Distance`], not a panic.
 //! 4. **Bound screen** — [`IncrementalEval::score_replacements_bounded`]
-//!    upper-bounds a candidate replacement from warm memo entries plus
-//!    the distance's cheap bounds
+//!    upper-bounds a candidate replacement from warm memo entries (or
+//!    closed-form rows) plus the distance's cheap bounds
 //!    ([`fairjob_hist::HistogramDistance::bounds`], fed by each
 //!    histogram's cached prefix CDF) and abandons it before any exact
 //!    solve when the bound plus [`crate::unfairness::PRUNE_MARGIN`]
@@ -61,9 +75,9 @@
 //!    counter and every returned child is identical for every thread
 //!    count.
 //!
-//! The engine counts distances computed, cache hits, and cache bypasses,
-//! plus splits computed, split-cache hits, rows scanned, and histograms
-//! built ([`EngineStats`]); algorithms surface the counters through
+//! The engine counts distances computed, closed-form pairs, cache hits,
+//! and cache bypasses, plus splits computed, split-cache hits, rows
+//! scanned, and histograms built ([`EngineStats`]); algorithms surface the counters through
 //! [`crate::report::AuditResult::engine`] and the CLI audit report.
 //! Every cached or incremental result stays within 1e-9 of the naive
 //! [`crate::AuditContext::unfairness`] on identical inputs.
@@ -73,7 +87,9 @@ use crate::error::AuditError;
 use crate::partition::Partition;
 use crate::pool::WorkerPool;
 use crate::scratch::with_scratch;
-use crate::unfairness::{DistanceOracle, PairwiseAverager, PAIR_CHUNK, PRUNE_MARGIN, UNKEYED_BIT};
+use crate::unfairness::{
+    ClosedForm, DistanceOracle, PairwiseAverager, PAIR_CHUNK, PRUNE_MARGIN, UNKEYED_BIT,
+};
 use fairjob_hist::{BinSpec, Histogram, ScratchStats};
 use fairjob_store::{Predicate, RowSet};
 use std::borrow::Borrow;
@@ -433,12 +449,13 @@ fn patch_children(
 /// over the engine's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Distances actually computed (cache misses + bypasses).
+    /// Distances actually evaluated: memo misses, memo bypasses, and
+    /// closed-form pairs ([`Self::closed_form`]).
     pub distances_computed: u64,
-    /// Distance lookups served from the memo cache.
+    /// Distance lookups served from the memo cache (memo path only).
     pub cache_hits: u64,
-    /// Distance computations that bypassed the cache because at least
-    /// one histogram carried no partition fingerprint.
+    /// Memo-path distance computations that bypassed the cache because
+    /// at least one histogram carried no partition fingerprint.
     pub cache_bypasses: u64,
     /// Splits materialised through the single-pass kernel (split-cache
     /// misses; includes non-viable attempts, which are negatively
@@ -461,9 +478,15 @@ pub struct EngineStats {
     /// Candidate pairs settled by the bound screen alone — exact solves
     /// the branch-and-bound pruning skipped.
     pub bounds_screened: u64,
-    /// Distances computed while scoring candidates exactly (the
-    /// survivors of the bound screen; a subset of `distances_computed`).
+    /// Memo-path distances computed while scoring candidates exactly
+    /// (the survivors of the bound screen; a subset of
+    /// `distances_computed`). Closed-form pairs are not counted here.
     pub exact_solves: u64,
+    /// Pairs evaluated on the closed-form path: straight from two prefix
+    /// CDF rows ([`ClosedForm`]), with no memo probe, registry entry or
+    /// solver scratch (a subset of `distances_computed`). Zero for
+    /// distances without a closed form, such as `emd-exact`.
+    pub closed_form: u64,
     /// Chunks dispatched through the persistent worker pool (counted
     /// even when executed inline at one thread, so the counter is
     /// thread-count independent).
@@ -541,6 +564,7 @@ impl EngineStats {
         self.split_evictions += other.split_evictions;
         self.bounds_screened += other.bounds_screened;
         self.exact_solves += other.exact_solves;
+        self.closed_form += other.closed_form;
         self.pool_tasks += other.pool_tasks;
         self.ground_cache_hits += other.ground_cache_hits;
         self.scratch_reuses += other.scratch_reuses;
@@ -560,7 +584,7 @@ impl EngineStats {
     /// The exhaustive destructuring makes this function — and through
     /// it every renderer — fail to compile when a counter is added to
     /// the struct but not listed here.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 22] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 23] {
         let EngineStats {
             distances_computed,
             cache_hits,
@@ -573,6 +597,7 @@ impl EngineStats {
             split_evictions,
             bounds_screened,
             exact_solves,
+            closed_form,
             pool_tasks,
             ground_cache_hits,
             scratch_reuses,
@@ -597,6 +622,7 @@ impl EngineStats {
             ("split_evictions", split_evictions),
             ("bounds_screened", bounds_screened),
             ("exact_solves", exact_solves),
+            ("closed_form", closed_form),
             ("pool_tasks", pool_tasks),
             ("ground_cache_hits", ground_cache_hits),
             ("scratch_reuses", scratch_reuses),
@@ -638,10 +664,14 @@ pub struct EvalEngine<'c, 'a> {
     split_evictions: Cell<u64>,
     bounds_screened: Cell<u64>,
     exact_solves: Cell<u64>,
+    closed_form: Cell<u64>,
     pool_tasks: Cell<u64>,
     ground_cache_hits: Cell<u64>,
     scratch_reuses: Cell<u64>,
     warm_starts: Cell<u64>,
+    /// The distance's closed form on the context's layout, decided once
+    /// at construction: `Some` routes pairs of rows past the memo.
+    closed: Option<ClosedForm>,
     parallel_threshold: usize,
     threads: usize,
 }
@@ -690,10 +720,12 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             split_evictions: Cell::new(0),
             bounds_screened: Cell::new(0),
             exact_solves: Cell::new(0),
+            closed_form: Cell::new(0),
             pool_tasks: Cell::new(0),
             ground_cache_hits: Cell::new(0),
             scratch_reuses: Cell::new(0),
             warm_starts: Cell::new(0),
+            closed: ClosedForm::of(ctx.distance(), ctx.spec()),
             parallel_threshold: 256,
             threads,
         }
@@ -748,6 +780,7 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             split_evictions: self.split_evictions.get(),
             bounds_screened: self.bounds_screened.get(),
             exact_solves: self.exact_solves.get(),
+            closed_form: self.closed_form.get(),
             pool_tasks: self.pool_tasks.get(),
             ground_cache_hits: self.ground_cache_hits.get(),
             scratch_reuses: self.scratch_reuses.get(),
@@ -772,6 +805,29 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
 
     fn note_exact_solves(&self, solves: u64) {
         self.exact_solves.set(self.exact_solves.get() + solves);
+    }
+
+    fn note_closed_form(&self, pairs: u64) {
+        self.closed_form.set(self.closed_form.get() + pairs);
+        self.distances_computed
+            .set(self.distances_computed.get() + pairs);
+    }
+
+    /// True when the engine's distance has a closed form on the
+    /// context's layout, so pairs of rows skip the memo.
+    pub fn is_closed_form(&self) -> bool {
+        self.closed.is_some()
+    }
+
+    /// The closed form and both histograms' rows, when the pair can be
+    /// evaluated on the closed-form path.
+    fn closed_pair<'h>(
+        &self,
+        a: &'h Histogram,
+        b: &'h Histogram,
+    ) -> Option<(&ClosedForm, &'h [f64], &'h [f64])> {
+        let cf = self.closed.as_ref()?;
+        Some((cf, cf.row(a)?, cf.row(b)?))
     }
 
     fn note_pool_tasks(&self, chunks: u64) {
@@ -803,9 +859,10 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
     /// An upper bound on the distance between two keyed histograms,
     /// without computing it: a warm memo entry answers exactly (second
     /// element `true`), otherwise the distance's bound provider answers
-    /// (`false`). `None` means neither is available and the caller must
-    /// fall back to exact scoring. Probes never touch the lookup
-    /// counters — a bound pass is not a distance lookup.
+    /// (`false`). On the closed-form path the rows answer exactly, as an
+    /// unwarmed bound (`false`). `None` means none is available and the
+    /// caller must fall back to exact scoring. Probes never touch the
+    /// lookup counters — a bound pass is not a distance lookup.
     fn pair_upper(
         &self,
         key_a: u128,
@@ -813,6 +870,9 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         key_b: u128,
         b: &Histogram,
     ) -> Option<(f64, bool)> {
+        if let Some((cf, ra, rb)) = self.closed_pair(a, b) {
+            return Some((cf.eval(ra, rb), false));
+        }
         if (key_a | key_b) & UNKEYED_BIT == 0 {
             let key = if key_a <= key_b {
                 (key_a, key_b)
@@ -828,10 +888,13 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
 
     /// Record a partition's predicate in the cache registry so
     /// selective invalidation can later map changed rows to its cache
-    /// entries. Returns the fingerprint.
+    /// entries. Returns the fingerprint. A partition with a closed-form
+    /// row never reaches the memo, so it skips the registry.
     fn register(&self, part: &Partition) -> u128 {
         let fp = Self::key(part);
-        self.caches.borrow_mut().register(fp, &part.predicate);
+        if !matches!(&self.closed, Some(cf) if cf.row(&part.histogram).is_some()) {
+            self.caches.borrow_mut().register(fp, &part.predicate);
+        }
         fp
     }
 
@@ -841,8 +904,9 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             .set(self.cache_evictions.get() + evicted);
     }
 
-    /// Memoised distance between two keyed histograms; bypasses the
-    /// cache (but still computes) when either key is unkeyed.
+    /// Distance between two keyed histograms: from the rows on the
+    /// closed-form path, otherwise memoised — bypassing the cache (but
+    /// still computing) when either key is unkeyed.
     fn cached_distance(
         &self,
         key_a: u128,
@@ -850,6 +914,10 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         key_b: u128,
         b: &Histogram,
     ) -> Result<f64, AuditError> {
+        if let Some((cf, ra, rb)) = self.closed_pair(a, b) {
+            self.note_closed_form(1);
+            return Ok(cf.eval(ra, rb));
+        }
         if (key_a | key_b) & UNKEYED_BIT != 0 {
             Self::bump(&self.cache_bypasses);
             Self::bump(&self.distances_computed);
@@ -870,7 +938,8 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
         Ok(d)
     }
 
-    /// Memoised distance between two partitions' histograms.
+    /// Distance between two partitions' histograms: closed-form or
+    /// memoised.
     ///
     /// # Errors
     ///
@@ -1058,6 +1127,12 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             return Ok(0.0);
         }
         let pairs = n * (n - 1) / 2;
+        if let Some(cf) = &self.closed {
+            let rows: Option<Vec<&[f64]>> = live.iter().map(|p| cf.row(&p.histogram)).collect();
+            if let Some(rows) = rows {
+                return Ok(self.unfairness_dense(cf, &rows) / pairs as f64);
+            }
+        }
         let keys: Vec<u128> = live.iter().map(|p| self.register(p)).collect();
         // Note: no thread-count condition — at one thread the batched
         // path runs its chunks inline, so counters (`pool_tasks`
@@ -1073,6 +1148,25 @@ impl<'c, 'a> EvalEngine<'c, 'a> {
             }
         }
         Ok(sum / pairs as f64)
+    }
+
+    /// The closed-form full evaluation: the rows copied into one flat
+    /// arena, then one serial loop summing every pair in (i, j) order —
+    /// the order of the memo path's serial sum, so the value keeps its
+    /// bits. Returns the pair sum.
+    fn unfairness_dense(&self, cf: &ClosedForm, rows: &[&[f64]]) -> f64 {
+        let bins = cf.bins();
+        let flat: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
+        let n = rows.len();
+        let mut sum = 0.0;
+        for i in 0..n {
+            let a = &flat[i * bins..(i + 1) * bins];
+            for j in i + 1..n {
+                sum += cf.eval(a, &flat[j * bins..(j + 1) * bins]);
+            }
+        }
+        self.note_closed_form((n * (n - 1) / 2) as u64);
+        sum
     }
 
     /// The parallel full evaluation: serial hit/miss classification,
@@ -1181,6 +1275,14 @@ impl DistanceOracle for EvalEngine<'_, '_> {
         b: &Histogram,
     ) -> Result<f64, AuditError> {
         self.cached_distance(key_a, a, key_b, b)
+    }
+
+    fn closed_form(&self) -> Option<&ClosedForm> {
+        self.closed.as_ref()
+    }
+
+    fn note_closed_form(&self, pairs: u64) {
+        EvalEngine::note_closed_form(self, pairs);
     }
 }
 
@@ -1314,7 +1416,8 @@ impl<'e, 'c, 'a> IncrementalEval<'e, 'c, 'a> {
                 }
             }
         }
-        let before = self.engine.stats().distances_computed;
+        let memo_computed = |e: &EvalEngine| e.distances_computed.get() - e.closed_form.get();
+        let before = memo_computed(self.engine);
         let mut child_slots: Vec<usize> = Vec::new();
         for &(_, children) in replacements {
             for child in children
@@ -1336,7 +1439,7 @@ impl<'e, 'c, 'a> IncrementalEval<'e, 'c, 'a> {
             self.slots[index] = self.averager.insert_keyed(key, hist)?;
         }
         self.engine
-            .note_exact_solves(self.engine.stats().distances_computed - before);
+            .note_exact_solves(memo_computed(self.engine) - before);
         Ok(CandidateScore::Exact(value))
     }
 
@@ -1365,9 +1468,15 @@ impl<'e, 'c, 'a> IncrementalEval<'e, 'c, 'a> {
         // child × untouched and child × child pairs need bounding.
         let mut sum = self.averager.pair_sum();
         let mut screened = 0u64;
+        let closed = self.engine.closed.as_ref();
         for &(child_key, child) in &children {
-            for (other_key, other) in self.averager.live_entries() {
-                let (upper, warm) = self.engine.pair_upper(child_key, child, other_key, other)?;
+            let child_row = closed.and_then(|cf| cf.row(child));
+            for (other_key, other, other_row) in self.averager.live_rows() {
+                // Closed-form pairs read the averager's arena row.
+                let (upper, warm) = match (closed, child_row, other_row) {
+                    (Some(cf), Some(a), Some(b)) => (cf.eval(a, b), false),
+                    _ => self.engine.pair_upper(child_key, child, other_key, other)?,
+                };
                 sum += upper;
                 screened += u64::from(!warm);
             }
@@ -1389,12 +1498,27 @@ mod tests {
     use super::*;
     use crate::algorithms::Algorithm;
     use crate::context::AuditConfig;
-    use fairjob_hist::distance::{DistanceError, HistogramDistance};
+    use fairjob_hist::distance::{DistanceError, EmdExact, HistogramDistance, TotalVariation};
     use fairjob_marketplace::toy::toy_workers;
     use std::sync::Arc;
 
     fn toy_ctx<'a>(table: &'a fairjob_store::table::Table, scores: &'a [f64]) -> AuditContext<'a> {
         AuditContext::new(table, scores, AuditConfig::default()).unwrap()
+    }
+
+    /// A context on a memoised metric: total variation has no closed
+    /// form, so every pair takes the memo path.
+    fn memo_ctx<'a>(table: &'a fairjob_store::table::Table, scores: &'a [f64]) -> AuditContext<'a> {
+        let cfg = AuditConfig::with_distance(Arc::new(TotalVariation));
+        AuditContext::new(table, scores, cfg).unwrap()
+    }
+
+    /// The closed-form path's contract: no memo hit, nothing memoised.
+    fn assert_memo_untouched(engine: &EvalEngine<'_, '_>) {
+        assert!(engine.is_closed_form());
+        assert_eq!(engine.stats().cache_hits, 0);
+        assert_eq!(engine.stats().cache_bypasses, 0);
+        assert_eq!(engine.caches.borrow().distances(), 0);
     }
 
     /// Completeness contract for [`EngineStats`]: the full-field struct
@@ -1418,17 +1542,18 @@ mod tests {
             split_evictions: 9,
             bounds_screened: 10,
             exact_solves: 11,
-            pool_tasks: 12,
-            ground_cache_hits: 13,
-            scratch_reuses: 14,
-            warm_starts: 15,
-            shard_tasks: 16,
-            rows_classified_parallel: 17,
-            page_hits: 18,
-            page_misses: 19,
-            page_evictions: 20,
-            pages_skipped: 21,
-            pages_scanned: 22,
+            closed_form: 12,
+            pool_tasks: 13,
+            ground_cache_hits: 14,
+            scratch_reuses: 15,
+            warm_starts: 16,
+            shard_tasks: 17,
+            rows_classified_parallel: 18,
+            page_hits: 19,
+            page_misses: 20,
+            page_evictions: 21,
+            pages_skipped: 22,
+            pages_scanned: 23,
         };
         let pairs = a.as_pairs();
         // Every field value is distinct and present exactly once.
@@ -1452,8 +1577,9 @@ mod tests {
     #[test]
     fn cached_evaluation_is_bit_identical_to_naive() {
         let (t, scores) = toy_workers();
-        let ctx = toy_ctx(&t, &scores);
+        let ctx = memo_ctx(&t, &scores);
         let engine = EvalEngine::new(&ctx);
+        assert!(!engine.is_closed_form());
         let parts = ctx.split(&ctx.root(), 1).unwrap(); // 3 language groups
         let naive = ctx.unfairness(&parts).unwrap();
         assert_eq!(engine.unfairness(&parts).unwrap(), naive);
@@ -1466,6 +1592,30 @@ mod tests {
         assert_eq!(second.distances_computed, 3);
         assert_eq!(second.cache_hits, 3);
         assert_eq!(second.cache_bypasses, 0);
+        assert_eq!(second.closed_form, 0);
+    }
+
+    #[test]
+    fn closed_form_evaluation_is_bit_identical_to_naive_and_skips_the_memo() {
+        let (t, scores) = toy_workers();
+        let ctx = toy_ctx(&t, &scores);
+        let engine = EvalEngine::new(&ctx);
+        let parts = ctx.split(&ctx.root(), 1).unwrap(); // 3 language groups
+        let naive = ctx.unfairness(&parts).unwrap();
+        assert_eq!(
+            engine.unfairness(&parts).unwrap().to_bits(),
+            naive.to_bits()
+        );
+        assert_eq!(
+            engine.unfairness(&parts).unwrap().to_bits(),
+            naive.to_bits()
+        );
+        // Both evaluations ran from rows: 3 pairs each, all counted as
+        // computed, none memoised.
+        let stats = engine.stats();
+        assert_eq!(stats.closed_form, 6);
+        assert_eq!(stats.distances_computed, 6);
+        assert_memo_untouched(&engine);
     }
 
     #[test]
@@ -1489,7 +1639,7 @@ mod tests {
     #[test]
     fn parallel_path_matches_serial_for_any_thread_count() {
         let (t, scores) = toy_workers();
-        let ctx = toy_ctx(&t, &scores);
+        let ctx = memo_ctx(&t, &scores);
         let parts = crate::algorithms::all_attributes::AllAttributes
             .run(&ctx)
             .unwrap()
@@ -1516,6 +1666,33 @@ mod tests {
             );
             let stats = parallel.stats();
             assert_eq!(stats.cache_hits, stats.distances_computed);
+        }
+    }
+
+    #[test]
+    fn closed_form_full_evaluation_is_one_dense_serial_loop() {
+        let (t, scores) = toy_workers();
+        let ctx = toy_ctx(&t, &scores);
+        let parts = crate::algorithms::all_attributes::AllAttributes
+            .run(&ctx)
+            .unwrap()
+            .partitioning;
+        let expected = ctx.unfairness(parts.partitions()).unwrap();
+        let n = parts.partitions().iter().filter(|p| !p.is_empty()).count() as u64;
+        for threads in [1, 2, 3, 7] {
+            // The parallel threshold does not apply here: the dense loop
+            // runs at every partition count and dispatches no pool task.
+            let engine = EvalEngine::new(&ctx)
+                .with_parallel_threshold(2)
+                .with_threads(threads);
+            for _ in 0..2 {
+                let got = engine.unfairness(parts.partitions()).unwrap();
+                assert_eq!(got.to_bits(), expected.to_bits(), "{threads}");
+            }
+            let stats = engine.stats();
+            assert_eq!(stats.closed_form, n * (n - 1), "{threads}");
+            assert_eq!(stats.pool_tasks, 0, "{threads}");
+            assert_memo_untouched(&engine);
         }
     }
 
@@ -1551,7 +1728,7 @@ mod tests {
     #[test]
     fn incremental_matches_naive_and_reverts_for_free() {
         let (t, scores) = toy_workers();
-        let ctx = toy_ctx(&t, &scores);
+        let ctx = memo_ctx(&t, &scores);
         let engine = EvalEngine::new(&ctx);
         let genders = ctx.split(&ctx.root(), 0).unwrap();
         let male_langs = ctx.split(&genders[0], 1).unwrap();
@@ -1575,21 +1752,62 @@ mod tests {
     }
 
     #[test]
-    fn bounded_scoring_prunes_hopeless_candidates_and_matches_exact() {
+    fn closed_form_incremental_matches_naive_from_rows_alone() {
         let (t, scores) = toy_workers();
         let ctx = toy_ctx(&t, &scores);
         let engine = EvalEngine::new(&ctx);
         let genders = ctx.split(&ctx.root(), 0).unwrap();
         let male_langs = ctx.split(&genders[0], 1).unwrap();
         let mut inc = IncrementalEval::new(&engine, &genders).unwrap();
+        assert!(inc.averager.is_closed_form());
+        assert_eq!(engine.stats().closed_form, 1);
+        let mut replaced = male_langs.clone();
+        replaced.push(genders[1].clone());
+        let naive = ctx.unfairness(&replaced).unwrap();
+        let score = inc.score_replacements(&[(0, &male_langs)]).unwrap();
+        assert!((score - naive).abs() < 1e-9, "{score} vs {naive}");
+        assert!((inc.average() - ctx.unfairness(&genders).unwrap()).abs() < 1e-12);
+        // One scoring: remove Male (1 pair), insert 3 children (1 + 2 + 3),
+        // remove them (3 + 2 + 1), re-insert Male (1) — 14 row pairs, and
+        // not one of them an exact solve.
+        let again = inc.score_replacements(&[(0, &male_langs)]).unwrap();
+        assert_eq!(again.to_bits(), score.to_bits());
+        let stats = engine.stats();
+        assert_eq!(stats.closed_form, 1 + 2 * 14);
+        assert_eq!(stats.distances_computed, stats.closed_form);
+        assert_eq!(stats.exact_solves, 0);
+        assert_memo_untouched(&engine);
+    }
+
+    #[test]
+    fn bounded_scoring_prunes_hopeless_candidates_and_matches_exact() {
+        // emd-exact: its bounds are a real sandwich, not the answer.
+        let (t, scores) = toy_workers();
+        let ctx =
+            AuditContext::new(&t, &scores, AuditConfig::with_distance(Arc::new(EmdExact))).unwrap();
+        let engine = EvalEngine::new(&ctx);
+        let genders = ctx.split(&ctx.root(), 0).unwrap();
+        let male_langs = ctx.split(&genders[0], 1).unwrap();
+        // A twin evaluator replays every averager operation unscreened,
+        // so the two are compared bit for bit in the same state (each
+        // score/revert cycle may move the compensated sum by an ulp).
+        let mut inc = IncrementalEval::new(&engine, &genders).unwrap();
+        let mut twin = IncrementalEval::new(&engine, &genders).unwrap();
         let exact = inc.score_replacements(&[(0, &male_langs)]).unwrap();
+        assert_eq!(
+            twin.score_replacements(&[(0, &male_langs)])
+                .unwrap()
+                .to_bits(),
+            exact.to_bits()
+        );
         // Beatable incumbent: the screen cannot prune, and the bounded
         // path returns the exact value, bit for bit.
+        let twin_exact = twin.score_replacements(&[(0, &male_langs)]).unwrap();
         match inc
             .score_replacements_bounded(&[(0, &male_langs)], Some(0.0))
             .unwrap()
         {
-            CandidateScore::Exact(v) => assert_eq!(v.to_bits(), exact.to_bits()),
+            CandidateScore::Exact(v) => assert_eq!(v.to_bits(), twin_exact.to_bits()),
             CandidateScore::Pruned { .. } => panic!("candidate beats a zero incumbent"),
         }
         // Unbeatable incumbent: pruned without a single new distance,
@@ -1607,9 +1825,62 @@ mod tests {
         assert_eq!(engine.stats().distances_computed, stats.distances_computed);
         assert!(engine.stats().bounds_screened >= stats.bounds_screened);
         assert!((inc.average() - ctx.unfairness(&genders).unwrap()).abs() < 1e-12);
-        // Scoring exactly again still matches the first run.
+        // A prune's revert is a plain remove and re-insert of Male: with
+        // that mirrored on the twin, exact scoring matches bit for bit.
+        let (key, hist) = twin.averager.remove(twin.slots[0]).unwrap().unwrap();
+        twin.slots[0] = twin.averager.insert_keyed(key, hist).unwrap();
+        let again = inc.score_replacements(&[(0, &male_langs)]).unwrap();
+        assert_eq!(
+            again.to_bits(),
+            twin.score_replacements(&[(0, &male_langs)])
+                .unwrap()
+                .to_bits()
+        );
+        assert!((again - exact).abs() < 1e-12);
+        assert_eq!(engine.stats().closed_form, 0);
+    }
+
+    #[test]
+    fn closed_form_bounded_scoring_prunes_from_rows_and_matches_exact() {
+        let (t, scores) = toy_workers();
+        let ctx = toy_ctx(&t, &scores);
+        let engine = EvalEngine::new(&ctx);
+        let genders = ctx.split(&ctx.root(), 0).unwrap();
+        let male_langs = ctx.split(&genders[0], 1).unwrap();
+        let mut inc = IncrementalEval::new(&engine, &genders).unwrap();
+        let exact = inc.score_replacements(&[(0, &male_langs)]).unwrap();
+        match inc
+            .score_replacements_bounded(&[(0, &male_langs)], Some(0.0))
+            .unwrap()
+        {
+            CandidateScore::Exact(v) => assert_eq!(v.to_bits(), exact.to_bits()),
+            CandidateScore::Pruned { .. } => panic!("candidate beats a zero incumbent"),
+        }
+        // The rows answer the screen exactly, so the bound is the value.
+        // A prune evaluates only the remove and re-insert of Male (one
+        // pair each); the 3 × 1 + 3 screened child pairs are bound
+        // probes, not counted evaluations.
+        let stats = engine.stats();
+        match inc
+            .score_replacements_bounded(&[(0, &male_langs)], Some(1e6))
+            .unwrap()
+        {
+            CandidateScore::Pruned { upper_bound } => {
+                assert!(
+                    (upper_bound - exact).abs() < 1e-12,
+                    "{upper_bound} vs {exact}"
+                );
+            }
+            CandidateScore::Exact(_) => panic!("nothing beats an incumbent of 1e6"),
+        }
+        let after = engine.stats();
+        assert_eq!(after.closed_form, stats.closed_form + 2);
+        assert_eq!(after.bounds_screened, stats.bounds_screened + 6);
+        assert_eq!(after.exact_solves, 0);
+        assert!((inc.average() - ctx.unfairness(&genders).unwrap()).abs() < 1e-12);
         let again = inc.score_replacements(&[(0, &male_langs)]).unwrap();
         assert_eq!(again.to_bits(), exact.to_bits());
+        assert_memo_untouched(&engine);
     }
 
     #[test]
@@ -1726,7 +1997,7 @@ mod tests {
     #[test]
     fn unkeyed_histograms_bypass_the_cache() {
         let (t, scores) = toy_workers();
-        let ctx = toy_ctx(&t, &scores);
+        let ctx = memo_ctx(&t, &scores);
         let engine = EvalEngine::new(&ctx);
         let genders = ctx.split(&ctx.root(), 0).unwrap();
         let mut averager = PairwiseAverager::keyed(&engine);
@@ -1739,5 +2010,41 @@ mod tests {
         assert_eq!(stats.cache_bypasses, 3);
         assert_eq!(stats.distances_computed, 3);
         assert_eq!(stats.cache_hits, 0);
+    }
+
+    #[test]
+    fn unkeyed_histograms_take_the_closed_form_path() {
+        let (t, scores) = toy_workers();
+        let ctx = toy_ctx(&t, &scores);
+        let engine = EvalEngine::new(&ctx);
+        let genders = ctx.split(&ctx.root(), 0).unwrap();
+        let mut averager = PairwiseAverager::keyed(&engine);
+        averager.insert(genders[0].histogram.clone()).unwrap();
+        averager.insert(genders[1].histogram.clone()).unwrap();
+        averager.insert(genders[1].histogram.clone()).unwrap();
+        let stats = engine.stats();
+        assert_eq!(stats.closed_form, 3);
+        assert_eq!(stats.distances_computed, 3);
+        assert_memo_untouched(&engine);
+    }
+
+    /// A non-empty histogram without a CDF (negative mass) has no row:
+    /// its pairs take the memo path and fail with `distance`'s error.
+    #[test]
+    fn histograms_without_a_row_report_the_distance_error() {
+        let (t, scores) = toy_workers();
+        let ctx = toy_ctx(&t, &scores);
+        let engine = EvalEngine::new(&ctx);
+        let mut parts = ctx.split(&ctx.root(), 1).unwrap();
+        let mut counts = vec![0.0; ctx.spec().len()];
+        counts[0] = 3.0;
+        counts[1] = -1.0;
+        parts[1].histogram = Histogram::from_counts(ctx.spec().clone(), counts);
+        let want = ctx.unfairness(&parts).unwrap_err();
+        assert!(matches!(want, AuditError::Distance(_)), "{want:?}");
+        let got = engine.unfairness(&parts).unwrap_err();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        let err = IncrementalEval::new(&engine, &parts).err().expect("error");
+        assert_eq!(format!("{err:?}"), format!("{want:?}"));
     }
 }

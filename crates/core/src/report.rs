@@ -72,6 +72,12 @@ impl AuditResult {
                 self.engine.distances_computed, self.engine.cache_hits, self.engine.cache_bypasses,
             ));
         }
+        if self.engine.closed_form > 0 {
+            out.push_str(&format!(
+                "closed form: {} pairs evaluated from CDF rows\n",
+                self.engine.closed_form,
+            ));
+        }
         if self.engine.split_lookups() > 0 {
             out.push_str(&format!(
                 "splits: {} computed, {} cache hits, {} rows scanned, {} histograms built\n",
@@ -233,6 +239,7 @@ mod tests {
                 split_evictions: 0,
                 bounds_screened: 40,
                 exact_solves: 6,
+                closed_form: 15,
                 pool_tasks: 3,
                 ground_cache_hits: 14,
                 scratch_reuses: 13,
@@ -249,6 +256,7 @@ mod tests {
         let text = result.render(&ctx, false);
         assert!(text.contains("algorithm: test"));
         assert!(text.contains("engine: 4 distances computed, 96 cache hits, 0 bypasses"));
+        assert!(text.contains("closed form: 15 pairs evaluated from CDF rows"));
         assert!(text
             .contains("splits: 5 computed, 11 cache hits, 320 rows scanned, 12 histograms built"));
         assert!(text.contains("evictions: 2 distance entries, 0 split entries"));
@@ -288,6 +296,7 @@ mod tests {
                 split_evictions: 3,
                 bounds_screened: 20,
                 exact_solves: 5,
+                closed_form: 3,
                 pool_tasks: 2,
                 ground_cache_hits: 12,
                 scratch_reuses: 10,
@@ -311,7 +320,7 @@ mod tests {
         assert!(json.contains("\"value\":\"Male\""));
         assert!(json.contains("\"candidates_evaluated\":3"));
         assert!(json.contains(
-            "\"engine\":{\"distances_computed\":7,\"cache_hits\":2,\"cache_bypasses\":1,\"splits_computed\":4,\"split_cache_hits\":9,\"rows_scanned\":250,\"histograms_built\":8,\"cache_evictions\":0,\"split_evictions\":3,\"bounds_screened\":20,\"exact_solves\":5,\"pool_tasks\":2,\"ground_cache_hits\":12,\"scratch_reuses\":10,\"warm_starts\":4,\"shard_tasks\":6,\"rows_classified_parallel\":250,\"page_hits\":21,\"page_misses\":7,\"page_evictions\":2,\"pages_skipped\":11,\"pages_scanned\":17}"
+            "\"engine\":{\"distances_computed\":7,\"cache_hits\":2,\"cache_bypasses\":1,\"splits_computed\":4,\"split_cache_hits\":9,\"rows_scanned\":250,\"histograms_built\":8,\"cache_evictions\":0,\"split_evictions\":3,\"bounds_screened\":20,\"exact_solves\":5,\"closed_form\":3,\"pool_tasks\":2,\"ground_cache_hits\":12,\"scratch_reuses\":10,\"warm_starts\":4,\"shard_tasks\":6,\"rows_classified_parallel\":250,\"page_hits\":21,\"page_misses\":7,\"page_evictions\":2,\"pages_skipped\":11,\"pages_scanned\":17}"
         ));
         // Structural completeness: every counter as_pairs knows about is
         // present in the JSON by name.

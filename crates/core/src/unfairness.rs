@@ -1,13 +1,15 @@
 //! Average-pairwise-distance computations (Definition 2) over partition
 //! histograms: the serial reference, the bound-pruned batch kernel
 //! ([`pairwise_emd_batch`]), the pairwise matrix used by reports, and
-//! the incremental [`PairwiseAverager`].
+//! the incremental [`PairwiseAverager`] with its closed-form row mode
+//! ([`ClosedForm`]).
 
 use crate::error::AuditError;
 use crate::partition::Partition;
 use crate::pool::WorkerPool;
 use crate::scratch::with_scratch;
-use fairjob_hist::{Histogram, HistogramDistance, ScratchStats};
+use fairjob_emd::bounds::cdf_l1_rows;
+use fairjob_hist::{BinSpec, CdfL1, Histogram, HistogramDistance, ScratchStats};
 
 /// Floating-point slack added to every bound-vs-incumbent comparison
 /// before pruning. Pruning only ever *skips work whose outcome is
@@ -345,6 +347,49 @@ pub fn average_pairwise_parallel(
     }
 }
 
+/// A distance's CDF-L1 closed form together with the one bin layout it
+/// was derived for ([`HistogramDistance::closed_form`]). Decided once,
+/// when an engine or averager is built; pairs of histograms on that
+/// layout are then evaluated straight from their prefix-CDF rows with
+/// [`cdf_l1_rows`], bit-identical to [`HistogramDistance::distance`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClosedForm {
+    spec: BinSpec,
+    form: CdfL1,
+}
+
+impl ClosedForm {
+    /// The closed form of `distance` on `spec`, or `None` when the
+    /// distance has none there.
+    pub(crate) fn of(distance: &dyn HistogramDistance, spec: &BinSpec) -> Option<Self> {
+        distance.closed_form(spec).map(|form| ClosedForm {
+            spec: spec.clone(),
+            form,
+        })
+    }
+
+    /// Bins per row.
+    pub(crate) fn bins(&self) -> usize {
+        self.spec.len()
+    }
+
+    /// The prefix-CDF row of `h`, or `None` when `h` is not on this
+    /// layout or has no CDF (empty, or masses the CDF build rejects).
+    /// Pairs involving such a histogram go through `distance`, which
+    /// reports the error.
+    pub(crate) fn row<'h>(&self, h: &'h Histogram) -> Option<&'h [f64]> {
+        if h.spec() != &self.spec {
+            return None;
+        }
+        h.cdf_stats().map(|s| s.cdf.cdf())
+    }
+
+    /// The distance between two rows.
+    pub(crate) fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        cdf_l1_rows(a, b, &self.form)
+    }
+}
+
 /// Keyed distance lookup used by [`PairwiseAverager`] when driven by the
 /// evaluation engine ([`crate::engine::EvalEngine`]): keys identify the
 /// histograms' partitions so repeated pairs can be served from a memo
@@ -363,6 +408,20 @@ pub trait DistanceOracle {
         key_b: u128,
         b: &Histogram,
     ) -> Result<f64, AuditError>;
+
+    /// The closed form the oracle's distance has on its layout, if any.
+    /// A keyed averager reads it once, at construction, and evaluates
+    /// pairs of rows itself instead of calling
+    /// [`DistanceOracle::keyed_distance`]. The default is `None`.
+    fn closed_form(&self) -> Option<&ClosedForm> {
+        None
+    }
+
+    /// Record `pairs` distances a keyed averager evaluated from rows on
+    /// this oracle's behalf. The default ignores them.
+    fn note_closed_form(&self, pairs: u64) {
+        let _ = pairs;
+    }
 }
 
 /// Sentinel bit marking keys the averager assigned itself to histograms
@@ -406,9 +465,37 @@ fn neumaier_add(sum: &mut f64, comp: &mut f64, x: f64) {
 
 /// Recompute the pairwise sum exactly every this many insert/remove
 /// operations. Bounds drift without changing asymptotics: the rebuild is
-/// O(k²) distance *lookups* (cache hits under a keyed oracle), amortised
-/// to O(k²/4096) per operation.
+/// O(k²) distance *lookups* (cache hits under a keyed oracle, row
+/// evaluations in closed-form mode), amortised to O(k²/4096) per
+/// operation.
 const REBUILD_EVERY: usize = 4096;
+
+/// What a slot holds, as the pair loops see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotKind {
+    /// Freed, or never filled.
+    Vacant,
+    /// A live histogram with no mass: it takes part in no pair.
+    Empty,
+    /// A live histogram whose prefix-CDF row sits in the row arena.
+    Row,
+    /// A live histogram without a row: its pairs go through the oracle.
+    NoRow,
+}
+
+/// Closed-form mode: the form plus a flat arena of prefix-CDF rows,
+/// `bins` values per slot.
+struct RowArena {
+    form: ClosedForm,
+    rows: Vec<f64>,
+}
+
+impl RowArena {
+    fn row(&self, slot: usize) -> &[f64] {
+        let bins = self.form.bins();
+        &self.rows[slot * bins..(slot + 1) * bins]
+    }
+}
 
 /// Incremental average-pairwise-distance maintenance.
 ///
@@ -424,12 +511,26 @@ const REBUILD_EVERY: usize = 4096;
 /// computation over thousands of insert/remove cycles (load-bearing for
 /// the evaluation engine's delta scoring).
 ///
+/// **Closed-form mode.** When the distance has a CDF-L1 closed form on
+/// the layout ([`ClosedForm`]; see [`PairwiseAverager::for_layout`] and
+/// [`DistanceOracle::closed_form`]), the averager keeps every live
+/// histogram's prefix-CDF row in one flat arena indexed by slot and
+/// evaluates pairs of rows itself with [`cdf_l1_rows`]. The loops visit
+/// slots in the same order with the same compensated accumulation, and
+/// each row pair equals `distance` bit for bit, so every average keeps
+/// its bits; only pairs involving a histogram without a row reach the
+/// distance or oracle.
+///
 /// Freed slot ids are reused by later inserts, so `remove` is only
 /// idempotent until the next insert.
 pub struct PairwiseAverager<'d> {
     oracle: Oracle<'d>,
     /// Live `(key, histogram)` entries by slot; removed slots are `None`.
     slots: Vec<Option<(u128, Histogram)>>,
+    /// What each slot holds, parallel to `slots`.
+    kinds: Vec<SlotKind>,
+    /// Closed-form mode's row arena, `None` in per-pair mode.
+    arena: Option<RowArena>,
     /// Slot ids freed by `remove`, reused by later inserts so the slots
     /// vector does not grow under score/revert cycles.
     free: Vec<usize>,
@@ -443,19 +544,34 @@ pub struct PairwiseAverager<'d> {
 impl<'d> PairwiseAverager<'d> {
     /// An empty averager over the given distance (every pair computed).
     pub fn new(distance: &'d dyn HistogramDistance) -> Self {
-        Self::with_oracle(Oracle::Plain(distance))
+        Self::with_oracle(Oracle::Plain(distance), None)
+    }
+
+    /// An empty averager over the given distance for histograms laid out
+    /// by `spec`: in closed-form mode when the distance has a closed form
+    /// there, otherwise every pair is computed, as with
+    /// [`PairwiseAverager::new`].
+    pub fn for_layout(distance: &'d dyn HistogramDistance, spec: &BinSpec) -> Self {
+        Self::with_oracle(Oracle::Plain(distance), ClosedForm::of(distance, spec))
     }
 
     /// An empty averager resolving distances through a keyed oracle
-    /// (pairs of keyed histograms may be served from the oracle's cache).
+    /// (pairs of keyed histograms may be served from the oracle's cache),
+    /// in closed-form mode when the oracle has a closed form.
     pub fn keyed(oracle: &'d dyn DistanceOracle) -> Self {
-        Self::with_oracle(Oracle::Keyed(oracle))
+        let closed = oracle.closed_form().cloned();
+        Self::with_oracle(Oracle::Keyed(oracle), closed)
     }
 
-    fn with_oracle(oracle: Oracle<'d>) -> Self {
+    fn with_oracle(oracle: Oracle<'d>, closed: Option<ClosedForm>) -> Self {
         PairwiseAverager {
             oracle,
             slots: Vec::new(),
+            kinds: Vec::new(),
+            arena: closed.map(|form| RowArena {
+                form,
+                rows: Vec::new(),
+            }),
             free: Vec::new(),
             live: 0,
             pair_sum: 0.0,
@@ -491,6 +607,11 @@ impl<'d> PairwiseAverager<'d> {
         self.live == 0
     }
 
+    /// True in closed-form mode.
+    pub fn is_closed_form(&self) -> bool {
+        self.arena.is_some()
+    }
+
     /// Insert a histogram without a cache key (pairs involving it are
     /// always computed, never cached), returning its slot id. Empty
     /// histograms are accepted but contribute nothing (mirroring
@@ -513,28 +634,35 @@ impl<'d> PairwiseAverager<'d> {
     ///
     /// [`AuditError::Distance`] from the underlying distance.
     pub fn insert_keyed(&mut self, key: u128, histogram: Histogram) -> Result<usize, AuditError> {
-        if !histogram.is_empty() {
-            let mut delta = 0.0;
-            let mut delta_comp = 0.0;
-            for (other_key, other) in self.slots.iter().flatten() {
-                if !other.is_empty() {
-                    let d = oracle_distance(&self.oracle, key, &histogram, *other_key, other)?;
-                    neumaier_add(&mut delta, &mut delta_comp, d);
-                }
-            }
-            neumaier_add(&mut self.pair_sum, &mut self.comp, delta + delta_comp);
+        let row = self.arena.as_ref().and_then(|a| a.form.row(&histogram));
+        let kind = match row {
+            _ if histogram.is_empty() => SlotKind::Empty,
+            Some(_) => SlotKind::Row,
+            None => SlotKind::NoRow,
+        };
+        if kind != SlotKind::Empty {
+            let delta = self.delta(key, &histogram, row)?;
+            neumaier_add(&mut self.pair_sum, &mut self.comp, delta);
             self.live += 1;
         }
         let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some((key, histogram));
-                slot
-            }
+            Some(slot) => slot,
             None => {
-                self.slots.push(Some((key, histogram)));
+                self.slots.push(None);
+                self.kinds.push(SlotKind::Vacant);
+                if let Some(arena) = &mut self.arena {
+                    let bins = arena.form.bins();
+                    arena.rows.resize(arena.rows.len() + bins, 0.0);
+                }
                 self.slots.len() - 1
             }
         };
+        if let (Some(row), Some(arena)) = (row, &mut self.arena) {
+            let bins = arena.form.bins();
+            arena.rows[slot * bins..(slot + 1) * bins].copy_from_slice(row);
+        }
+        self.slots[slot] = Some((key, histogram));
+        self.kinds[slot] = kind;
         self.maybe_rebuild()?;
         Ok(slot)
     }
@@ -550,22 +678,57 @@ impl<'d> PairwiseAverager<'d> {
         let Some((key, victim)) = self.slots.get_mut(slot).and_then(Option::take) else {
             return Ok(None);
         };
+        let kind = std::mem::replace(&mut self.kinds[slot], SlotKind::Vacant);
         self.free.push(slot);
-        if victim.is_empty() {
+        if kind == SlotKind::Empty {
             return Ok(Some((key, victim)));
         }
-        let mut delta = 0.0;
-        let mut delta_comp = 0.0;
-        for (other_key, other) in self.slots.iter().flatten() {
-            if !other.is_empty() {
-                let d = oracle_distance(&self.oracle, key, &victim, *other_key, other)?;
-                neumaier_add(&mut delta, &mut delta_comp, d);
-            }
-        }
-        neumaier_add(&mut self.pair_sum, &mut self.comp, -(delta + delta_comp));
+        // The freed slot's arena row stays intact until the next insert.
+        let row = match (kind, &self.arena) {
+            (SlotKind::Row, Some(arena)) => Some(arena.row(slot)),
+            _ => None,
+        };
+        let delta = self.delta(key, &victim, row)?;
+        neumaier_add(&mut self.pair_sum, &mut self.comp, -delta);
         self.live -= 1;
         self.maybe_rebuild()?;
         Ok(Some((key, victim)))
+    }
+
+    /// The compensated sum of the distances between `histogram` (not in
+    /// the averager; `own_row` is its row, if it has one) and every
+    /// live, non-empty slot, in slot order.
+    fn delta(
+        &self,
+        key: u128,
+        histogram: &Histogram,
+        own_row: Option<&[f64]>,
+    ) -> Result<f64, AuditError> {
+        let mut delta = 0.0;
+        let mut delta_comp = 0.0;
+        let mut from_rows = 0u64;
+        for (slot, kind) in self.kinds.iter().enumerate() {
+            let d = match (kind, own_row, &self.arena) {
+                (SlotKind::Vacant | SlotKind::Empty, _, _) => continue,
+                (SlotKind::Row, Some(row), Some(arena)) => {
+                    from_rows += 1;
+                    arena.form.eval(row, arena.row(slot))
+                }
+                _ => {
+                    let (other_key, other) = self.slots[slot].as_ref().expect("live slot");
+                    oracle_distance(&self.oracle, key, histogram, *other_key, other)?
+                }
+            };
+            neumaier_add(&mut delta, &mut delta_comp, d);
+        }
+        self.note_rows(from_rows);
+        Ok(delta + delta_comp)
+    }
+
+    fn note_rows(&self, pairs: u64) {
+        if let (Oracle::Keyed(o), true) = (&self.oracle, pairs > 0) {
+            o.note_closed_form(pairs);
+        }
     }
 
     fn maybe_rebuild(&mut self) -> Result<(), AuditError> {
@@ -573,25 +736,29 @@ impl<'d> PairwiseAverager<'d> {
         if self.ops_since_rebuild < REBUILD_EVERY {
             return Ok(());
         }
-        let (sum, comp) = {
-            let live: Vec<(u128, &Histogram)> = self
-                .slots
-                .iter()
-                .flatten()
-                .filter(|(_, h)| !h.is_empty())
-                .map(|(k, h)| (*k, h))
-                .collect();
-            let mut sum = 0.0;
-            let mut comp = 0.0;
-            for i in 0..live.len() {
-                for j in i + 1..live.len() {
-                    let d =
-                        oracle_distance(&self.oracle, live[i].0, live[i].1, live[j].0, live[j].1)?;
-                    neumaier_add(&mut sum, &mut comp, d);
-                }
+        let live: Vec<usize> = (0..self.kinds.len())
+            .filter(|&s| matches!(self.kinds[s], SlotKind::Row | SlotKind::NoRow))
+            .collect();
+        let mut sum = 0.0;
+        let mut comp = 0.0;
+        let mut from_rows = 0u64;
+        for (i, &a) in live.iter().enumerate() {
+            for &b in &live[i + 1..] {
+                let d = match (&self.arena, self.kinds[a], self.kinds[b]) {
+                    (Some(arena), SlotKind::Row, SlotKind::Row) => {
+                        from_rows += 1;
+                        arena.form.eval(arena.row(a), arena.row(b))
+                    }
+                    _ => {
+                        let (key_a, ha) = self.slots[a].as_ref().expect("live slot");
+                        let (key_b, hb) = self.slots[b].as_ref().expect("live slot");
+                        oracle_distance(&self.oracle, *key_a, ha, *key_b, hb)?
+                    }
+                };
+                neumaier_add(&mut sum, &mut comp, d);
             }
-            (sum, comp)
-        };
+        }
+        self.note_rows(from_rows);
         self.pair_sum = sum;
         self.comp = comp;
         self.ops_since_rebuild = 0;
@@ -618,11 +785,25 @@ impl<'d> PairwiseAverager<'d> {
 
     /// Iterate the live `(key, histogram)` entries in slot order.
     pub fn live_entries(&self) -> impl Iterator<Item = (u128, &Histogram)> {
-        self.slots
+        self.live_rows().map(|(k, h, _)| (k, h))
+    }
+
+    /// Iterate the live `(key, histogram, row)` entries in slot order;
+    /// `row` is the slot's arena row in closed-form mode (`None` for
+    /// histograms without one, and always in per-pair mode).
+    pub fn live_rows(&self) -> impl Iterator<Item = (u128, &Histogram, Option<&[f64]>)> {
+        self.kinds
             .iter()
-            .flatten()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(k, h)| (*k, h))
+            .enumerate()
+            .filter(|(_, kind)| matches!(kind, SlotKind::Row | SlotKind::NoRow))
+            .map(|(slot, kind)| {
+                let (key, h) = self.slots[slot].as_ref().expect("live slot");
+                let row = match (kind, &self.arena) {
+                    (SlotKind::Row, Some(arena)) => Some(arena.row(slot)),
+                    _ => None,
+                };
+                (*key, h, row)
+            })
     }
 }
 
@@ -630,7 +811,7 @@ impl<'d> PairwiseAverager<'d> {
 mod tests {
     use super::*;
     use fairjob_hist::distance::Emd1d;
-    use fairjob_hist::BinSpec;
+    use fairjob_hist::{BinSpec, DistanceError};
 
     fn h(values: &[f64]) -> Histogram {
         Histogram::from_values(
@@ -855,6 +1036,58 @@ mod tests {
             batch
         );
         assert_eq!(avg.len(), base.len());
+    }
+
+    /// `Emd1d` without its closed form: every pair through `distance`.
+    struct PerPair;
+
+    impl HistogramDistance for PerPair {
+        fn distance(&self, a: &Histogram, b: &Histogram) -> Result<f64, DistanceError> {
+            Emd1d.distance(a, b)
+        }
+        fn name(&self) -> &'static str {
+            "emd-per-pair"
+        }
+    }
+
+    /// Closed-form mode keeps not just the average but the raw
+    /// compensated state (`pair_sum`, `comp`) bit-identical to per-pair
+    /// mode, through two periodic rebuilds: skipping a rebuild leaves the
+    /// average's bits intact here but not the state later ties see.
+    #[test]
+    fn closed_form_mode_keeps_the_compensated_state_bit_for_bit() {
+        let spec = BinSpec::equal_width(0.0, 1.0, 10).unwrap();
+        let pool: Vec<Histogram> = (0..29)
+            .map(|i| match i % 7 {
+                6 => Histogram::empty(spec.clone()),
+                _ => h(&[
+                    (i % 11) as f64 / 11.0,
+                    ((i * 7) % 13) as f64 / 13.0,
+                    ((i * 3) % 17) as f64 / 17.0,
+                ]),
+            })
+            .collect();
+        let mut fast = PairwiseAverager::for_layout(&Emd1d, &spec);
+        let mut slow = PairwiseAverager::for_layout(&PerPair, &spec);
+        assert!(fast.is_closed_form() && !slow.is_closed_form());
+        let mut live: Vec<usize> = Vec::new();
+        for op in 0..2 * REBUILD_EVERY + 300 {
+            if live.len() < 24 && (live.len() < 4 || op % 3 != 0) {
+                let hist = &pool[(op * 7) % pool.len()];
+                let slot = fast.insert(hist.clone()).unwrap();
+                assert_eq!(slow.insert(hist.clone()).unwrap(), slot);
+                live.push(slot);
+            } else {
+                let slot = live.swap_remove((op * 5) % live.len());
+                fast.remove(slot).unwrap();
+                slow.remove(slot).unwrap();
+            }
+            assert_eq!(
+                (fast.pair_sum.to_bits(), fast.comp.to_bits()),
+                (slow.pair_sum.to_bits(), slow.comp.to_bits()),
+                "op {op}"
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`PrefixCdf`] — a reusable prefix-CDF, built once per histogram and
 //!   shared across every pair the histogram participates in. For 1-D L1
 //!   grounds the L1 distance between two prefix CDFs *is* the EMD
-//!   (Vallender's identity), so [`cdf_l1_grid`] / [`cdf_l1_positions`]
-//!   are exact — and, by construction, **bit-identical** to
+//!   (Vallender's identity), so [`cdf_l1_rows`] and its wrappers
+//!   [`cdf_l1_grid`] / [`cdf_l1_positions`] are exact — and, by construction, **bit-identical** to
 //!   [`crate::emd_1d_grid`] / [`crate::emd_1d_positions`]: the
 //!   normalisation and accumulation run in the same floating-point
 //!   operation order.
@@ -33,7 +33,7 @@
 //! Two classes of reduction live here, with different guarantees:
 //!
 //! * **Exact closed forms** ([`PrefixCdf::build`]'s prefix sum,
-//!   [`cdf_l1_grid`], [`cdf_l1_positions`]) accumulate serially in
+//!   [`cdf_l1_rows`], [`cdf_l1_grid`], [`cdf_l1_positions`]) accumulate serially in
 //!   index order — the *same* operation order as the exact solvers —
 //!   and are asserted bit-identical to them.
 //! * **Screening bounds** ([`tv_between`], [`PrefixCdf::mean`] and so
@@ -153,12 +153,66 @@ fn check_pair(a: &PrefixCdf, b: &PrefixCdf) -> Result<(), EmdError> {
     Ok(())
 }
 
+/// The cut costs of a CDF-L1 closed form: what one unit of CDF gap at
+/// each interior cut `i` (between bins `i` and `i + 1`) costs. For 1-D
+/// L1 grounds the sum of `|CDF_a[i] - CDF_b[i]|` times these costs *is*
+/// the EMD (Vallender's identity).
+#[derive(Debug, Clone, PartialEq)]
+pub enum CdfL1 {
+    /// Equal-width grid: every cut costs the bin width, applied once to
+    /// the summed gaps (the [`crate::emd_1d_grid`] order).
+    Grid {
+        /// Bin width, `(hi - lo) / n`.
+        width: f64,
+    },
+    /// Shared sorted positions: cut `i` costs `p[i + 1] - p[i]`, applied
+    /// per cut (the [`crate::emd_1d_positions`] order).
+    Positions {
+        /// The `n - 1` gaps between consecutive positions.
+        gaps: Vec<f64>,
+    },
+}
+
+/// The CDF-L1 closed form over two prefix-CDF rows of equal length
+/// (`PrefixCdf::cdf` values, or any slice laid out the same way).
+///
+/// Keeps the exact solvers' operation order: for [`CdfL1::Grid`],
+/// `acc += |a[i] - b[i]|` over the `n - 1` interior cuts, then
+/// `acc * width`; for [`CdfL1::Positions`],
+/// `acc += |a[i] - b[i]| * gaps[i]`. Rows from [`PrefixCdf::build`]
+/// therefore give values bit-identical to [`crate::emd_1d_grid`] /
+/// [`crate::emd_1d_positions`] on the same masses. No validation: the
+/// caller vouches for equal lengths and, for positions, `n - 1` gaps.
+pub fn cdf_l1_rows(a: &[f64], b: &[f64], form: &CdfL1) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let cuts = a.len().saturating_sub(1);
+    let (a, b) = (&a[..cuts], &b[..cuts]);
+    match form {
+        CdfL1::Grid { width } => {
+            let mut acc = 0.0;
+            for (x, y) in a.iter().zip(b) {
+                acc += (x - y).abs();
+            }
+            acc * width
+        }
+        CdfL1::Positions { gaps } => {
+            debug_assert_eq!(gaps.len(), cuts);
+            let mut acc = 0.0;
+            for ((x, y), gap) in a.iter().zip(b).zip(gaps) {
+                acc += (x - y).abs() * gap;
+            }
+            acc
+        }
+    }
+}
+
 /// Exact 1-D EMD on an equal-width grid over `[lo, hi]`, computed from
 /// two cached prefix CDFs.
 ///
 /// Bit-identical to [`crate::emd_1d_grid`] called on the same mass
 /// vectors: both accumulate `|CDF_a[i] - CDF_b[i]|` over the `n - 1`
-/// interior cuts in index order and multiply by the bin width once.
+/// interior cuts in index order and multiply by the bin width once
+/// ([`cdf_l1_rows`] with [`CdfL1::Grid`]).
 ///
 /// # Errors
 ///
@@ -173,17 +227,13 @@ pub fn cdf_l1_grid(a: &PrefixCdf, b: &PrefixCdf, lo: f64, hi: f64) -> Result<f64
             reason: "require finite lo < hi",
         });
     }
-    let n = a.len();
-    let width = (hi - lo) / n as f64;
-    let mut acc = 0.0;
-    for i in 0..n - 1 {
-        acc += (a.cdf[i] - b.cdf[i]).abs();
-    }
-    Ok(acc * width)
+    let width = (hi - lo) / a.len() as f64;
+    Ok(cdf_l1_rows(&a.cdf, &b.cdf, &CdfL1::Grid { width }))
 }
 
 /// Exact 1-D EMD at shared sorted positions, computed from two cached
-/// prefix CDFs. Bit-identical to [`crate::emd_1d_positions`].
+/// prefix CDFs. Bit-identical to [`crate::emd_1d_positions`]
+/// ([`cdf_l1_rows`] with [`CdfL1::Positions`]).
 ///
 /// # Errors
 ///
@@ -206,11 +256,8 @@ pub fn cdf_l1_positions(a: &PrefixCdf, b: &PrefixCdf, positions: &[f64]) -> Resu
         positions.windows(2).all(|w| w[0] <= w[1]),
         "positions must be sorted"
     );
-    let mut acc = 0.0;
-    for i in 0..a.len() - 1 {
-        acc += (a.cdf[i] - b.cdf[i]).abs() * (positions[i + 1] - positions[i]);
-    }
-    Ok(acc)
+    let gaps = positions.windows(2).map(|w| w[1] - w[0]).collect();
+    Ok(cdf_l1_rows(&a.cdf, &b.cdf, &CdfL1::Positions { gaps }))
 }
 
 /// Total variation distance `0.5 * sum_i |a_i - b_i|` between two

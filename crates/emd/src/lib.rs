@@ -68,7 +68,7 @@ pub mod simplex;
 pub mod transport;
 
 pub use arena::{ScratchStats, SolveScratch};
-pub use bounds::PrefixCdf;
+pub use bounds::{CdfL1, PrefixCdf};
 pub use d1::{emd_1d_grid, emd_1d_positions, emd_1d_samples};
 pub use error::EmdError;
 pub use ground::{

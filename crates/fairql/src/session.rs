@@ -178,6 +178,14 @@ pub struct WarmCache {
     caches: Option<EngineCaches>,
 }
 
+impl WarmCache {
+    /// Memoised distances the warm caches hold (0 when empty, and
+    /// always for closed-form metrics, whose pairs skip the memo).
+    pub fn distances(&self) -> usize {
+        self.caches.as_ref().map_or(0, EngineCaches::distances)
+    }
+}
+
 /// An executable FairQL session over one source.
 pub struct Session<'a> {
     source: Source<'a>,

@@ -123,6 +123,29 @@ fn filtered_audit_audits_only_matching_rows() {
 
 #[test]
 fn repeated_audit_reuses_warm_caches() {
+    // Total variation has no closed form, so its distances are memoised
+    // and the warm run serves them from the memo.
+    let (table, scores) = population(400);
+    let mut session = session(&table, &scores);
+    let outputs = session
+        .execute("AUDIT workers METRIC tv; AUDIT workers METRIC tv")
+        .unwrap();
+    let (QueryOutput::Audit { summary: cold, .. }, QueryOutput::Audit { summary: warm, .. }) =
+        (&outputs[0], &outputs[1])
+    else {
+        panic!("not audit outputs")
+    };
+    assert_eq!(cold.unfairness_bits(), warm.unfairness_bits());
+    assert_eq!(warm.engine.splits_computed, 0, "warm run re-split");
+    assert!(warm.engine.split_cache_hits >= cold.engine.splits_computed);
+    assert!(warm.engine.distances_computed < cold.engine.distances_computed);
+    assert!(session.into_warm().distances() > 0);
+}
+
+#[test]
+fn repeated_closed_form_audit_reuses_splits_and_memoises_no_distance() {
+    // The default `emd` evaluates every pair from CDF rows: the warm run
+    // still skips every split, but repeats the same row evaluations.
     let (table, scores) = population(400);
     let mut session = session(&table, &scores);
     let outputs = session.execute("AUDIT workers; AUDIT workers").unwrap();
@@ -133,8 +156,16 @@ fn repeated_audit_reuses_warm_caches() {
     };
     assert_eq!(cold.unfairness_bits(), warm.unfairness_bits());
     assert_eq!(warm.engine.splits_computed, 0, "warm run re-split");
+    assert_eq!(warm.engine.rows_scanned, 0, "warm run scanned rows");
     assert!(warm.engine.split_cache_hits >= cold.engine.splits_computed);
-    assert!(warm.engine.distances_computed < cold.engine.distances_computed);
+    for run in [cold, warm] {
+        assert_eq!(run.engine.cache_hits, 0);
+        assert_eq!(run.engine.exact_solves, 0);
+        assert_eq!(run.engine.closed_form, run.engine.distances_computed);
+    }
+    assert!(cold.engine.closed_form > 0);
+    assert_eq!(warm.engine.closed_form, cold.engine.closed_form);
+    assert_eq!(session.into_warm().distances(), 0);
 }
 
 #[test]

@@ -7,10 +7,11 @@
 //! them operate on *normalised* histograms so that partition sizes do not
 //! leak into the distance.
 
+use crate::bins::BinSpec;
 use crate::histogram::Histogram;
 use fairjob_emd::bounds;
 use fairjob_emd::{
-    EmdError, GridL1, GroundCache, GroundMatrix, PositionsL1, SolveScratch, Thresholded,
+    CdfL1, EmdError, GridL1, GroundCache, GroundMatrix, PositionsL1, SolveScratch, Thresholded,
 };
 use std::fmt;
 
@@ -80,6 +81,18 @@ pub trait HistogramDistance: Send + Sync {
     /// it is always safe.
     fn bounds(&self, a: &Histogram, b: &Histogram) -> Option<DistanceBounds> {
         let _ = (a, b);
+        None
+    }
+
+    /// The CDF-L1 closed form this distance *is* on histograms laid out
+    /// by `spec`, or `None` (the default) when it has none. When this
+    /// returns `Some(form)`, [`bounds::cdf_l1_rows`] over two
+    /// histograms' [`Histogram::cdf_stats`] rows must equal
+    /// [`HistogramDistance::distance`] bit for bit, so callers may
+    /// evaluate such pairs straight from the rows. Wrappers that do not
+    /// forward this keep every pair on the `distance` path.
+    fn closed_form(&self, spec: &BinSpec) -> Option<CdfL1> {
+        let _ = spec;
         None
     }
 
@@ -175,6 +188,21 @@ impl HistogramDistance for Emd1d {
 
     fn name(&self) -> &'static str {
         "emd"
+    }
+
+    /// [`CdfL1::Grid`] on uniform layouts and [`CdfL1::Positions`] over
+    /// the bin centres otherwise — the same two closed forms `distance`
+    /// dispatches to, with the same cut costs.
+    fn closed_form(&self, spec: &BinSpec) -> Option<CdfL1> {
+        Some(if spec.is_uniform() {
+            CdfL1::Grid {
+                width: (spec.hi() - spec.lo()) / spec.len() as f64,
+            }
+        } else {
+            CdfL1::Positions {
+                gaps: spec.centres().windows(2).map(|w| w[1] - w[0]).collect(),
+            }
+        })
     }
 
     /// Exact bounds from the cached prefix CDFs: Vallender's identity

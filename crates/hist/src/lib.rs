@@ -35,5 +35,5 @@ pub mod histogram;
 
 pub use bins::BinSpec;
 pub use distance::{DistanceBounds, DistanceError, HistogramDistance};
-pub use fairjob_emd::{ScratchStats, SolveScratch};
+pub use fairjob_emd::{CdfL1, ScratchStats, SolveScratch};
 pub use histogram::{CdfStats, Histogram};

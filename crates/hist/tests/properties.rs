@@ -1,5 +1,6 @@
 //! Property-based tests for histograms and histogram distances.
 
+use fairjob_emd::bounds::cdf_l1_rows;
 use fairjob_hist::distance::{
     all_symmetric_distances, Emd1d, EmdExact, EmdThresholded, HistogramDistance, JensenShannon,
     TotalVariation,
@@ -96,6 +97,36 @@ proptest! {
         prop_assert!(bd.exact);
         prop_assert_eq!(bd.lower.to_bits(), d.to_bits(), "lower={} d={}", bd.lower, d);
         prop_assert_eq!(bd.upper.to_bits(), d.to_bits(), "upper={} d={}", bd.upper, d);
+    }
+
+    /// The closed-form capability: `cdf_l1_rows` over two cached
+    /// prefix-CDF rows is `Emd1d::distance`, bit for bit, on equal-width
+    /// grids and on arbitrary increasing edges alike.
+    #[test]
+    fn closed_form_rows_equal_emd1d_distance_bitwise(
+        a in values(48),
+        b in values(48),
+        n in 1usize..16,
+        widths in prop::collection::vec(0.01f64..1.0, 1..16),
+    ) {
+        let uniform = BinSpec::equal_width(0.0, 1.0, n).unwrap();
+        let mut edges = vec![0.0];
+        for w in &widths {
+            edges.push(edges[edges.len() - 1] + w);
+        }
+        let top = edges[edges.len() - 1];
+        let skewed = BinSpec::from_edges(edges.iter().map(|e| e / top).collect()).unwrap();
+        prop_assert!(!skewed.is_uniform());
+        for spec in [uniform, skewed] {
+            let (ha, hb) = (hist(&spec, &a), hist(&spec, &b));
+            let form = Emd1d.closed_form(&spec).expect("emd has a closed form");
+            let (ra, rb) = (ha.cdf_stats().unwrap(), hb.cdf_stats().unwrap());
+            let rows = cdf_l1_rows(ra.cdf.cdf(), rb.cdf.cdf(), &form);
+            let d = Emd1d.distance(&ha, &hb).unwrap();
+            prop_assert_eq!(rows.to_bits(), d.to_bits(), "{:?}: rows={} d={}", spec, rows, d);
+        }
+        // Distances with no closed form keep the default.
+        prop_assert!(EmdExact.closed_form(&BinSpec::equal_width(0.0, 1.0, n).unwrap()).is_none());
     }
 
     #[test]

@@ -160,9 +160,18 @@ mod tests {
     use super::*;
     use crate::same_partitioning;
     use fairjob_core::algorithms::{balanced::Balanced, AttributeChoice};
+    use fairjob_hist::distance::TotalVariation;
     use fairjob_marketplace::stream::{generate_stream, StreamConfig};
 
     fn auditor(workers: usize, seed: u64) -> (StreamAuditor, Vec<Vec<Event>>) {
+        auditor_with(workers, seed, AuditConfig::default())
+    }
+
+    fn auditor_with(
+        workers: usize,
+        seed: u64,
+        config: AuditConfig,
+    ) -> (StreamAuditor, Vec<Vec<Event>>) {
         let scenario = generate_stream(&StreamConfig {
             initial: workers,
             epochs: 4,
@@ -170,9 +179,15 @@ mod tests {
             seed,
             alpha: 0.5,
         });
-        let view = StreamView::new(scenario.initial, scenario.scores, 10).unwrap();
-        let auditor = StreamAuditor::new(view, AuditConfig::default()).unwrap();
+        let view = StreamView::new(scenario.initial, scenario.scores, config.bins).unwrap();
+        let auditor = StreamAuditor::new(view, config).unwrap();
         (auditor, scenario.events.epochs().to_vec())
+    }
+
+    /// A memoised metric: total variation has no closed form, so its
+    /// distances live in the memo and survive invalidation.
+    fn memo_config() -> AuditConfig {
+        AuditConfig::with_distance(std::sync::Arc::new(TotalVariation))
     }
 
     #[test]
@@ -213,10 +228,11 @@ mod tests {
     #[test]
     fn warm_epochs_reuse_cached_work() {
         let algorithm = Balanced::new(AttributeChoice::Worst);
-        let (mut auditor, epochs) = auditor(150, 13);
-        auditor.audit(&algorithm).unwrap();
-        let warm = auditor.run_epoch(&epochs[0], &algorithm).unwrap();
-        let cold = auditor.cold_audit(&algorithm).unwrap();
+        // Distances: on a memoised metric.
+        let (mut memo, epochs) = auditor_with(150, 13, memo_config());
+        memo.audit(&algorithm).unwrap();
+        let warm = memo.run_epoch(&epochs[0], &algorithm).unwrap();
+        let cold = memo.cold_audit(&algorithm).unwrap();
         assert!(
             warm.invalidation.distances_retained > 0,
             "selective invalidation kept no distances: {:?}",
@@ -228,18 +244,33 @@ mod tests {
             warm.audit.engine.distances_computed,
             cold.engine.distances_computed
         );
+        // Rows: on the default closed-form `emd`, which memoises no
+        // distance and repeats the cold run's row evaluations exactly.
+        let (mut auditor, epochs) = auditor(150, 13);
+        auditor.audit(&algorithm).unwrap();
+        let warm = auditor.run_epoch(&epochs[0], &algorithm).unwrap();
+        let cold = auditor.cold_audit(&algorithm).unwrap();
         assert!(
             warm.audit.engine.rows_scanned < cold.engine.rows_scanned,
             "warm run scanned as many rows as cold ({} vs {})",
             warm.audit.engine.rows_scanned,
             cold.engine.rows_scanned
         );
+        assert_eq!(warm.invalidation.distances_retained, 0);
+        assert_eq!(warm.invalidation.distances_evicted, 0);
+        assert_eq!(warm.audit.engine.cache_hits, 0);
+        assert!(warm.audit.engine.closed_form > 0);
+        assert_eq!(warm.audit.engine.closed_form, cold.engine.closed_form);
+        assert_eq!(
+            warm.audit.engine.closed_form,
+            warm.audit.engine.distances_computed
+        );
     }
 
     #[test]
     fn empty_epoch_retains_everything() {
         let algorithm = Balanced::new(AttributeChoice::Worst);
-        let (mut auditor, _) = auditor(60, 21);
+        let (mut auditor, _) = auditor_with(60, 21, memo_config());
         let first = auditor.audit(&algorithm).unwrap();
         assert_eq!(first.invalidation, InvalidationReport::default());
         let second = auditor.run_epoch(&[], &algorithm).unwrap();
@@ -251,6 +282,31 @@ mod tests {
         // Everything the audit needs is already cached.
         assert_eq!(second.audit.engine.rows_scanned, 0);
         assert_eq!(second.audit.engine.distances_computed, 0);
+        assert_eq!(
+            first.audit.unfairness.to_bits(),
+            second.audit.unfairness.to_bits()
+        );
+    }
+
+    #[test]
+    fn empty_epoch_on_a_closed_form_metric_rescans_no_row() {
+        let algorithm = Balanced::new(AttributeChoice::Worst);
+        let (mut auditor, _) = auditor(60, 21);
+        let first = auditor.audit(&algorithm).unwrap();
+        let second = auditor.run_epoch(&[], &algorithm).unwrap();
+        assert_eq!(second.invalidation.splits_evicted, 0);
+        assert!(second.invalidation.splits_retained > 0);
+        assert_eq!(
+            second.invalidation.distances_retained, 0,
+            "emd memoises nothing"
+        );
+        // Every split is cached; every pair is re-evaluated from rows.
+        assert_eq!(second.audit.engine.rows_scanned, 0);
+        assert_eq!(second.audit.engine.cache_hits, 0);
+        assert_eq!(
+            second.audit.engine.closed_form,
+            first.audit.engine.closed_form
+        );
         assert_eq!(
             first.audit.unfairness.to_bits(),
             second.audit.unfairness.to_bits()
